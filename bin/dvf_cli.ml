@@ -80,77 +80,38 @@ let profile_cmd =
 (* --- verify --- *)
 
 let verify_cmd =
-  let strategy =
-    let doc =
-      "Simulation strategy: $(b,replay) (default) captures each workload's \
-       trace once and replays the tape per cache; $(b,fused) drives all \
-       caches from one chunk walk; $(b,sharded) partitions the fused walk \
-       by cache-set index into independent per-shard tasks (see \
-       $(b,--shards)); $(b,retrace) re-executes the kernel per cache (the \
-       historical baseline).  All strategies print identical rows."
-    in
-    Arg.(
-      value
-      & opt (enum Core.Verify.strategies) Core.Verify.Replay
-      & info [ "strategy" ] ~docv:"STRATEGY" ~doc)
-  in
   let time_weighted =
     let doc =
       "Report time-weighted residency per structure instead of the \
        Fig. 4 traffic comparison: clean/dirty line-time integrals over \
        the tape's logical clock, windowed into $(b,--bins) slices, and \
-       the time-weighted DVF.  Requires a tape (any strategy but \
-       retrace); honours $(b,--levels)."
+       the time-weighted DVF.  Honours $(b,--levels)."
     in
     Arg.(value & flag & info [ "time-weighted" ] ~doc)
   in
-  let run jobs metrics strategy levels shards tape_store time_weighted bins
-      workloads =
+  let run jobs metrics levels tape_store time_weighted bins workloads =
     let jobs = Cli_common.check_jobs jobs in
     let levels = Cli_common.check_levels levels in
-    let shards = Cli_common.check_shards shards in
     let bins = Cli_common.check_bins bins in
-    if tape_store <> None && strategy = Core.Verify.Retrace then begin
-      Printf.eprintf
-        "error: --tape-store cannot help --strategy retrace (it never \
-         captures a tape); use replay, fused or sharded\n";
-      exit 1
-    end;
     Cli_common.with_metrics metrics (fun telemetry ->
         let store = Cli_common.open_tape_store ~telemetry tape_store in
-        if time_weighted then begin
-          if strategy = Core.Verify.Retrace then begin
-            Printf.eprintf
-              "error: --strategy retrace has no tape and therefore no \
-               logical clock; --time-weighted needs replay, fused or \
-               sharded\n";
-            exit 1
-          end;
+        if time_weighted then
           let rows =
-            Core.Verify.run_all_timed ~jobs ~telemetry ~strategy ?shards
-              ?store ~workloads ~levels ~bins ()
+            Core.Verify.run_all_timed ~jobs ~telemetry ?store ~workloads
+              ~levels ~bins ()
           in
           Dvf_util.Table.print (Core.Verify.to_time_table rows)
-        end
         else if levels = 1 then
           let rows =
-            Core.Verify.run_all ~jobs ~telemetry ~strategy ?shards ?store
-              ~workloads ()
+            Core.Verify.run_all ~jobs ~telemetry ?store ~workloads ()
           in
           Dvf_util.Table.print (Core.Verify.to_table rows)
-        else begin
-          if strategy = Core.Verify.Retrace then begin
-            Printf.eprintf
-              "error: --strategy retrace cannot drive a multi-level \
-               hierarchy; use replay, fused or sharded\n";
-            exit 1
-          end;
+        else
           let rows =
-            Core.Verify.run_all_levels ~jobs ~telemetry ~strategy ?shards
-              ?store ~workloads ~levels ()
+            Core.Verify.run_all_levels ~jobs ~telemetry ?store ~workloads
+              ~levels ()
           in
-          Dvf_util.Table.print (Core.Verify.to_level_table rows)
-        end)
+          Dvf_util.Table.print (Core.Verify.to_level_table rows))
   in
   Cmd.v
     (Cmd.info "verify"
@@ -158,9 +119,9 @@ let verify_cmd =
          "Fig. 4: trace-driven simulation vs the analytical models \
           (per-level traffic with --levels > 1)")
     Term.(
-      const run $ Cli_common.jobs $ Cli_common.metrics $ strategy
-      $ Cli_common.levels $ Cli_common.shards $ Cli_common.tape_store
-      $ time_weighted $ Cli_common.bins $ Cli_common.workload_pos_args)
+      const run $ Cli_common.jobs $ Cli_common.metrics $ Cli_common.levels
+      $ Cli_common.tape_store $ time_weighted $ Cli_common.bins
+      $ Cli_common.workload_pos_args)
 
 (* --- figure/table reproductions --- *)
 
@@ -418,27 +379,8 @@ let chaos_cmd =
 (* --- windows: vulnerability vs. time --- *)
 
 let windows_cmd =
-  let strategy =
-    let doc =
-      "Timed-replay strategy for the residency side: $(b,replay) \
-       (default), $(b,fused) or $(b,sharded).  $(b,retrace) is rejected \
-       — it has no tape, hence no logical clock.  All strategies print \
-       identical rows."
-    in
-    Arg.(
-      value
-      & opt (enum Core.Verify.strategies) Core.Verify.Replay
-      & info [ "strategy" ] ~docv:"STRATEGY" ~doc)
-  in
-  let run (c : Cli_common.campaign) bins strategy shards tape_store workloads =
+  let run (c : Cli_common.campaign) bins tape_store workloads =
     let bins = Cli_common.check_bins bins in
-    let shards = Cli_common.check_shards shards in
-    if strategy = Core.Verify.Retrace then begin
-      Printf.eprintf
-        "error: --strategy retrace has no tape and therefore no logical \
-         clock; use replay, fused or sharded\n";
-      exit 1
-    end;
     List.iter
       (fun (w : Core.Workload.t) ->
         if Option.is_none w.Core.Workload.injector then
@@ -448,8 +390,8 @@ let windows_cmd =
     Cli_common.with_metrics c.Cli_common.c_metrics (fun telemetry ->
         let store = Cli_common.open_tape_store ~telemetry tape_store in
         let report =
-          Core.Windows.run ~jobs:c.Cli_common.c_jobs ~telemetry ~strategy
-            ?shards ?store ~seed:c.Cli_common.c_seed
+          Core.Windows.run ~jobs:c.Cli_common.c_jobs ~telemetry ?store
+            ~seed:c.Cli_common.c_seed
             ?trials:c.Cli_common.c_trials ~bins ~workloads ()
         in
         if report.Core.Windows.curves = [] then begin
@@ -476,9 +418,8 @@ let windows_cmd =
           Spearman rank correlations per structure and between the \
           time-weighted DVF and the overall SDC rate")
     Term.(
-      const run $ Cli_common.campaign_term $ Cli_common.bins $ strategy
-      $ Cli_common.shards $ Cli_common.tape_store
-      $ Cli_common.workload_pos_args)
+      const run $ Cli_common.campaign_term $ Cli_common.bins
+      $ Cli_common.tape_store $ Cli_common.workload_pos_args)
 
 (* --- serve / query: long-lived query daemon over line JSON ---
 
@@ -976,9 +917,8 @@ let tape_cmd =
     Cmd.v
       (Cmd.info "info"
          ~doc:
-           "Print a tape file's header, provenance and partition-index \
-            summary (byte-stable; $(b,--json) for the machine-readable \
-            line)")
+           "Print a tape file's header and provenance (byte-stable; \
+            $(b,--json) for the machine-readable line)")
       Term.(const run $ file $ json)
   in
   Cmd.group

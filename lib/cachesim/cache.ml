@@ -4,14 +4,12 @@
    any realistic simulation.
 
    Alongside the LRU clock the cache keeps a *logical event clock*
-   [now]: the ordinal of the reference event being processed (batch
-   entry points advance it by the batch length; the residency-enabled
-   walks set it per event).  With a [Residency.t] attached, every
+   [now]: the ordinal of the reference event being processed, set per
+   event by the batch kernel.  With a [Residency.t] attached, every
    line additionally carries the start time of its current clean or
    dirty phase in [res_start], and phase transitions — fill, first
    dirtying write, eviction, flush — close the open phase into the
-   accumulator.  With no residency attached the specialized walks are
-   untouched and [now] costs one addition per batch. *)
+   accumulator. *)
 
 type t = {
   config : Config.t;
@@ -26,6 +24,9 @@ type t = {
   mutable now : int;
   mutable res : Residency.t option;
   mutable res_start : int array;
+  (* One-event batch behind the single-reference entry points. *)
+  one_addr : int array;
+  one_meta : int array;
 }
 
 let log2 n =
@@ -60,6 +61,8 @@ let create config =
     now = 0;
     res = None;
     res_start = [||];
+    one_addr = [| 0 |];
+    one_meta = [| 0 |];
   }
 
 let config t = t.config
@@ -76,93 +79,6 @@ let attach_residency t res =
     t.res_start <- Array.make (Array.length t.tags) 0
   else Array.fill t.res_start 0 (Array.length t.res_start) 0;
   t.res <- Some res
-
-(* Core lookup on a line *number* (byte address already shifted).  Every
-   entry point funnels here, so [access]/[access_batch] split a request
-   with one shift per boundary instead of the two integer divisions the
-   byte-address API used to pay per line.  [fill]/[spill] report the
-   next-level traffic of a miss ([nofeed] for callers that don't care);
-   the hit/miss/writeback decisions are the contract every specialized
-   walk below must reproduce exactly. *)
-let nofeed ~owner:_ ~line:_ = ()
-
-let touch_feed t ~owner ~write ~line ~fill ~spill =
-  let set = line land t.set_mask in
-  let ca = t.config.Config.associativity in
-  let base = set * ca in
-  t.clock <- t.clock + 1;
-  (* Search the set for the tag; track LRU victim as we go. *)
-  let hit_way = ref (-1) in
-  let victim = ref base in
-  let victim_stamp = ref max_int in
-  for w = base to base + ca - 1 do
-    if t.tags.(w) = line then hit_way := w;
-    if t.stamps.(w) < !victim_stamp then begin
-      victim_stamp := t.stamps.(w);
-      victim := w
-    end
-  done;
-  let hit = !hit_way >= 0 in
-  Stats.record_access t.stats ~owner ~write ~hit;
-  if hit then begin
-    let w = !hit_way in
-    t.stamps.(w) <- t.clock;
-    if write then begin
-      (match t.res with
-      | Some res when not t.dirty.(w) ->
-          (* first dirtying write: the clean phase ends here *)
-          Residency.record_interval res ~owner:t.owners.(w) ~dirty:false
-            ~t0:t.res_start.(w) ~t1:t.now;
-          t.res_start.(w) <- t.now
-      | _ -> ());
-      t.dirty.(w) <- true
-    end
-  end
-  else begin
-    let w = !victim in
-    if t.tags.(w) >= 0 then begin
-      if t.dirty.(w) then begin
-        Stats.record_writeback t.stats ~owner:t.owners.(w);
-        spill ~owner:t.owners.(w) ~line:t.tags.(w)
-      end;
-      match t.res with
-      | Some res ->
-          Residency.record_interval res ~owner:t.owners.(w) ~dirty:t.dirty.(w)
-            ~t0:t.res_start.(w) ~t1:t.now;
-          Residency.record_eviction res ~owner:t.owners.(w)
-      | None -> ()
-    end;
-    t.tags.(w) <- line;
-    t.owners.(w) <- owner;
-    t.dirty.(w) <- write;
-    t.stamps.(w) <- t.clock;
-    (match t.res with
-    | Some res ->
-        t.res_start.(w) <- t.now;
-        Residency.record_fill res ~owner
-    | None -> ());
-    fill ~owner ~line
-  end;
-  hit
-
-let touch t ~owner ~write ~line =
-  touch_feed t ~owner ~write ~line ~fill:nofeed ~spill:nofeed
-
-let touch_line t ~owner ~write ~line_addr =
-  if line_addr < 0 then invalid_arg "Cache.touch_line: negative address";
-  let hit = touch t ~owner ~write ~line:(line_addr lsr t.line_shift) in
-  t.now <- t.now + 1;
-  hit
-
-let access t ~owner ~write ~addr ~size =
-  if size <= 0 then invalid_arg "Cache.access: non-positive size";
-  if addr < 0 then invalid_arg "Cache.access: negative address";
-  let first = addr lsr t.line_shift in
-  let last = (addr + size - 1) lsr t.line_shift in
-  for line = first to last do
-    ignore (touch t ~owner ~write ~line)
-  done;
-  t.now <- t.now + 1
 
 (* --- packed bulk interface ---
 
@@ -199,7 +115,7 @@ let unpack_access meta =
 (* Whole-range validation before any state change: a bad event mid-batch
    used to abort the walk half-applied, leaving tags and statistics torn.
    Validating up front means a failed batch leaves the cache untouched —
-   and lets the walks below index with [Array.unsafe_get]. *)
+   and lets the kernel below index with [Array.unsafe_get]. *)
 let validate_batch ~addrs ~metas ~pos ~len =
   if
     pos < 0 || len < 0
@@ -216,79 +132,42 @@ let validate_batch ~addrs ~metas ~pos ~len =
         (Printf.sprintf "Cache.access_batch: negative address at index %d" i)
   done
 
-let validate_times ~times ~pos ~len =
-  if pos + len > Array.length times then
-    invalid_arg
-      (Printf.sprintf "Cache: bad times range pos=%d len=%d (times %d)" pos len
-         (Array.length times))
+let nofeed ~owner:_ ~line:_ = ()
 
-let access_batch t ~addrs ~metas ~pos ~len =
+(* The one simulation kernel.  Every reference stream — tape replay,
+   hierarchy levels, the single-reference entry points — funnels here.
+
+   Per event the logical clock is set ([times.(i)] when given, else the
+   implicit [now0 + i]); per touched line the way scan exits on the
+   first tag match, and the LRU victim scan runs only on a miss.  A
+   dirty victim's write-back is reported to [spill] before the missing
+   line's demand fetch is reported to [fill] (line numbers, not byte
+   addresses).  With a residency accumulator attached, the fill, the
+   first dirtying write and the eviction each close the line's open
+   clean/dirty phase at the current clock. *)
+let access_batch ?times ?(fill = nofeed) ?(spill = nofeed) t ~addrs ~metas
+    ~pos ~len =
   validate_batch ~addrs ~metas ~pos ~len;
+  (match times with
+  | Some times when pos + len > Array.length times ->
+      invalid_arg
+        (Printf.sprintf "Cache: bad times range pos=%d len=%d (times %d)" pos
+           len (Array.length times))
+  | _ -> ());
   let shift = t.line_shift in
-  let timed = t.res <> None in
+  let set_mask = t.set_mask in
+  let ca = t.config.Config.associativity in
+  let tags = t.tags
+  and owners = t.owners
+  and dirty = t.dirty
+  and stamps = t.stamps
+  and stats = t.stats in
   let now0 = t.now in
   for i = pos to pos + len - 1 do
-    if timed then t.now <- now0 + (i - pos);
-    let addr = addrs.(i) in
-    let meta = metas.(i) in
-    let owner = meta lsr meta_owner_shift in
-    let write = meta land 1 = 1 in
-    let size = (meta lsr 1) land max_size in
-    let first = addr lsr shift in
-    let last = (addr + size - 1) lsr shift in
-    for line = first to last do
-      ignore (touch t ~owner ~write ~line)
-    done
-  done;
-  t.now <- now0 + len
-
-(* --- set-sharded walks ---
-
-   Every set's LRU state is independent of every other set's, so a batch
-   can be partitioned by set index across domains with zero locking: a
-   line belongs to shard [line land (eff - 1)] where [eff] is the shard
-   count clamped to the set count (both powers of two, so the shard bits
-   are the low bits of the set index and a set is never split between
-   shards).  Each shard walks the whole batch and touches only its own
-   lines; per-set decision sequences are exactly the serial ones, so
-   [Stats.merge] over the shard caches reproduces the serial statistics
-   bit for bit.
-
-   This is the throughput path (the ROADMAP's >= 100M events/sec
-   target), so the walk is specialized: addresses were validated up
-   front (unsafe indexing is safe), and the way scan exits on the first
-   tag match instead of tracking the LRU victim on hits — the victim
-   scan runs only on a miss.  Decisions are identical to [touch]'s.
-
-   With a residency accumulator attached the walk drops to the generic
-   [touch] path with the event clock set per event — every shard sees
-   every event ordinal, so per-line phase timestamps are identical to
-   the serial walk's and the merged accumulators are bit-identical. *)
-
-let check_shards ~shards ~shard =
-  if shards <= 0 || shards land (shards - 1) <> 0 then
-    invalid_arg
-      (Printf.sprintf
-         "Cache: shards must be a positive power of two (got %d)" shards);
-  if shard < 0 || shard >= shards then
-    invalid_arg
-      (Printf.sprintf "Cache: shard %d out of range (0..%d)" shard (shards - 1))
-
-let effective_shards t ~shards =
-  if shards <= 0 || shards land (shards - 1) <> 0 then
-    invalid_arg
-      (Printf.sprintf
-         "Cache: shards must be a positive power of two (got %d)" shards);
-  min shards t.config.Config.sets
-
-(* The shared residency-enabled walk: [touch_feed] per line of the
-   shard, event clock set per event.  [fill]/[spill] are [nofeed] for
-   the plain sharded walk. *)
-let res_walk t ~addrs ~metas ~pos ~len ~mask ~shard ~fill ~spill =
-  let shift = t.line_shift in
-  let now0 = t.now in
-  for i = pos to pos + len - 1 do
-    t.now <- now0 + (i - pos);
+    (t.now <-
+       match times with
+       | None -> now0 + (i - pos)
+       | Some times -> Array.unsafe_get times i);
     let addr = Array.unsafe_get addrs i in
     let meta = Array.unsafe_get metas i in
     let owner = meta lsr meta_owner_shift in
@@ -296,224 +175,93 @@ let res_walk t ~addrs ~metas ~pos ~len ~mask ~shard ~fill ~spill =
     let first = addr lsr shift in
     let last = (addr + ((meta lsr 1) land max_size) - 1) lsr shift in
     for line = first to last do
-      if line land mask = shard then
-        ignore (touch_feed t ~owner ~write ~line ~fill ~spill)
-    done
-  done
-
-let access_batch_sharded t ~addrs ~metas ~pos ~len ~shards ~shard =
-  check_shards ~shards ~shard;
-  validate_batch ~addrs ~metas ~pos ~len;
-  let eff = min shards t.config.Config.sets in
-  let now0 = t.now in
-  (* With fewer usable shards than requested (tiny cache), shards
-     [eff..shards-1] own no sets of this cache: lines are partitioned by
-     [line land (eff - 1)], which only shards [0..eff-1] can match. *)
-  (if shard < eff then
-     match t.res with
-     | Some _ ->
-         res_walk t ~addrs ~metas ~pos ~len ~mask:(eff - 1) ~shard
-           ~fill:nofeed ~spill:nofeed
-     | None ->
-         let mask = eff - 1 in
-         let shift = t.line_shift in
-         let set_mask = t.set_mask in
-         let ca = t.config.Config.associativity in
-         let tags = t.tags
-         and owners = t.owners
-         and dirty = t.dirty
-         and stamps = t.stamps in
-         for i = pos to pos + len - 1 do
-           let addr = Array.unsafe_get addrs i in
-           let meta = Array.unsafe_get metas i in
-           let owner = meta lsr meta_owner_shift in
-           let write = meta land 1 = 1 in
-           let first = addr lsr shift in
-           let last = (addr + ((meta lsr 1) land max_size) - 1) lsr shift in
-           for line = first to last do
-             if line land mask = shard then begin
-               let base = (line land set_mask) * ca in
-               let limit = base + ca in
-               t.clock <- t.clock + 1;
-               let w = ref base in
-               while !w < limit && Array.unsafe_get tags !w <> line do
-                 incr w
-               done;
-               if !w < limit then begin
-                 let w = !w in
-                 Stats.record_access t.stats ~owner ~write ~hit:true;
-                 Array.unsafe_set stamps w t.clock;
-                 if write then Array.unsafe_set dirty w true
-               end
-               else begin
-                 Stats.record_access t.stats ~owner ~write ~hit:false;
-                 let victim = ref base and victim_stamp = ref max_int in
-                 for w = base to limit - 1 do
-                   if Array.unsafe_get stamps w < !victim_stamp then begin
-                     victim_stamp := Array.unsafe_get stamps w;
-                     victim := w
-                   end
-                 done;
-                 let w = !victim in
-                 if Array.unsafe_get tags w >= 0 && Array.unsafe_get dirty w
-                 then
-                   Stats.record_writeback t.stats
-                     ~owner:(Array.unsafe_get owners w);
-                 Array.unsafe_set tags w line;
-                 Array.unsafe_set owners w owner;
-                 Array.unsafe_set dirty w write;
-                 Array.unsafe_set stamps w t.clock
-               end
-             end
-           done
-         done);
-  t.now <- now0 + len
-
-(* Same walk, but reporting the traffic a next cache level would see:
-   [fill] for every line miss (the demand fetch) and [spill] for every
-   dirty eviction (the write-back), both with the line *number*.  The
-   victim's spill fires before the missing line's fill, matching the
-   order [touch_feed] records statistics in. *)
-let access_batch_feed t ~addrs ~metas ~pos ~len ~shards ~shard ~fill ~spill =
-  check_shards ~shards ~shard;
-  validate_batch ~addrs ~metas ~pos ~len;
-  let eff = min shards t.config.Config.sets in
-  let now0 = t.now in
-  (if shard < eff then
-     match t.res with
-     | Some _ ->
-         res_walk t ~addrs ~metas ~pos ~len ~mask:(eff - 1) ~shard ~fill ~spill
-     | None ->
-         let mask = eff - 1 in
-         let shift = t.line_shift in
-         let set_mask = t.set_mask in
-         let ca = t.config.Config.associativity in
-         let tags = t.tags
-         and owners = t.owners
-         and dirty = t.dirty
-         and stamps = t.stamps in
-         for i = pos to pos + len - 1 do
-           let addr = Array.unsafe_get addrs i in
-           let meta = Array.unsafe_get metas i in
-           let owner = meta lsr meta_owner_shift in
-           let write = meta land 1 = 1 in
-           let first = addr lsr shift in
-           let last = (addr + ((meta lsr 1) land max_size) - 1) lsr shift in
-           for line = first to last do
-             if line land mask = shard then begin
-               let base = (line land set_mask) * ca in
-               let limit = base + ca in
-               t.clock <- t.clock + 1;
-               let w = ref base in
-               while !w < limit && Array.unsafe_get tags !w <> line do
-                 incr w
-               done;
-               if !w < limit then begin
-                 let w = !w in
-                 Stats.record_access t.stats ~owner ~write ~hit:true;
-                 Array.unsafe_set stamps w t.clock;
-                 if write then Array.unsafe_set dirty w true
-               end
-               else begin
-                 Stats.record_access t.stats ~owner ~write ~hit:false;
-                 let victim = ref base and victim_stamp = ref max_int in
-                 for w = base to limit - 1 do
-                   if Array.unsafe_get stamps w < !victim_stamp then begin
-                     victim_stamp := Array.unsafe_get stamps w;
-                     victim := w
-                   end
-                 done;
-                 let w = !victim in
-                 if Array.unsafe_get tags w >= 0 && Array.unsafe_get dirty w
-                 then begin
-                   Stats.record_writeback t.stats
-                     ~owner:(Array.unsafe_get owners w);
-                   spill
-                     ~owner:(Array.unsafe_get owners w)
-                     ~line:(Array.unsafe_get tags w)
-                 end;
-                 Array.unsafe_set tags w line;
-                 Array.unsafe_set owners w owner;
-                 Array.unsafe_set dirty w write;
-                 Array.unsafe_set stamps w t.clock;
-                 fill ~owner ~line
-               end
-             end
-           done
-         done);
-  t.now <- now0 + len
-
-(* --- explicitly timed walks ---
-
-   A deeper hierarchy level's input events are fills and spills, whose
-   logical times are the *originating* program-event ordinals, not this
-   cache's own event count — so the caller supplies a parallel [times]
-   array (non-decreasing) instead of the implicit [now0 + i] clock.
-   Used only by [Hierarchy] in timed mode; the final [now] is the last
-   event's time. *)
-let access_batch_timed t ~addrs ~metas ~times ~pos ~len =
-  validate_batch ~addrs ~metas ~pos ~len;
-  validate_times ~times ~pos ~len;
-  let shift = t.line_shift in
-  for i = pos to pos + len - 1 do
-    t.now <- times.(i);
-    let addr = Array.unsafe_get addrs i in
-    let meta = Array.unsafe_get metas i in
-    let owner = meta lsr meta_owner_shift in
-    let write = meta land 1 = 1 in
-    let first = addr lsr shift in
-    let last = (addr + ((meta lsr 1) land max_size) - 1) lsr shift in
-    for line = first to last do
-      ignore (touch t ~owner ~write ~line)
-    done
-  done
-
-let access_batch_feed_timed t ~addrs ~metas ~times ~pos ~len ~fill ~spill =
-  validate_batch ~addrs ~metas ~pos ~len;
-  validate_times ~times ~pos ~len;
-  let shift = t.line_shift in
-  for i = pos to pos + len - 1 do
-    t.now <- times.(i);
-    let addr = Array.unsafe_get addrs i in
-    let meta = Array.unsafe_get metas i in
-    let owner = meta lsr meta_owner_shift in
-    let write = meta land 1 = 1 in
-    let first = addr lsr shift in
-    let last = (addr + ((meta lsr 1) land max_size) - 1) lsr shift in
-    for line = first to last do
-      ignore (touch_feed t ~owner ~write ~line ~fill ~spill)
-    done
-  done
-
-let set_of_addr t addr =
-  if addr < 0 then invalid_arg "Cache.set_of_addr: negative address";
-  (addr lsr t.line_shift) land t.set_mask
-
-(* End-of-run eviction of everything resident.  With residency
-   attached, every surviving line's open phase is closed at the current
-   event clock — the driver sets [now] to the run horizon first
-   ([set_now]) so end-of-run exposure is counted up to the horizon and
-   no further. *)
-let flush t =
-  Array.iteri
-    (fun w tag ->
-      if tag >= 0 then begin
-        if t.dirty.(w) then Stats.record_writeback t.stats ~owner:t.owners.(w);
+      let base = (line land set_mask) * ca in
+      let limit = base + ca in
+      t.clock <- t.clock + 1;
+      let w = ref base in
+      while !w < limit && Array.unsafe_get tags !w <> line do
+        incr w
+      done;
+      if !w < limit then begin
+        let w = !w in
+        Stats.record_access stats ~owner ~write ~hit:true;
+        Array.unsafe_set stamps w t.clock;
+        if write && not (Array.unsafe_get dirty w) then begin
+          (match t.res with
+          | Some res ->
+              (* first dirtying write: the clean phase ends here *)
+              Residency.record_interval res ~owner:(Array.unsafe_get owners w)
+                ~dirty:false ~t0:t.res_start.(w) ~t1:t.now;
+              t.res_start.(w) <- t.now
+          | None -> ());
+          Array.unsafe_set dirty w true
+        end
+      end
+      else begin
+        Stats.record_access stats ~owner ~write ~hit:false;
+        let victim = ref base and victim_stamp = ref max_int in
+        for w = base to limit - 1 do
+          if Array.unsafe_get stamps w < !victim_stamp then begin
+            victim_stamp := Array.unsafe_get stamps w;
+            victim := w
+          end
+        done;
+        let w = !victim in
+        let old_owner = Array.unsafe_get owners w in
+        if Array.unsafe_get tags w >= 0 then begin
+          if Array.unsafe_get dirty w then begin
+            Stats.record_writeback stats ~owner:old_owner;
+            spill ~owner:old_owner ~line:(Array.unsafe_get tags w)
+          end;
+          match t.res with
+          | Some res ->
+              Residency.record_interval res ~owner:old_owner
+                ~dirty:(Array.unsafe_get dirty w) ~t0:t.res_start.(w) ~t1:t.now;
+              Residency.record_eviction res ~owner:old_owner
+          | None -> ()
+        end;
+        Array.unsafe_set tags w line;
+        Array.unsafe_set owners w owner;
+        Array.unsafe_set dirty w write;
+        Array.unsafe_set stamps w t.clock;
         (match t.res with
         | Some res ->
-            Residency.record_interval res ~owner:t.owners.(w)
-              ~dirty:t.dirty.(w) ~t0:t.res_start.(w) ~t1:t.now;
-            Residency.record_flush res ~owner:t.owners.(w)
+            t.res_start.(w) <- t.now;
+            Residency.record_fill res ~owner
         | None -> ());
-        t.tags.(w) <- -1;
-        t.dirty.(w) <- false;
-        t.stamps.(w) <- 0
-      end)
-    t.tags
+        fill ~owner ~line
+      end
+    done
+  done;
+  match times with
+  | None -> t.now <- now0 + len
+  | Some _ -> ()
 
-(* [flush], but every dirty line's write-back is also handed to [spill]
-   (slot order, i.e. set-major) so a next cache level can absorb it. *)
-let flush_feed t ~spill =
+(* Single references ride the kernel as one-event batches. *)
+let access_one t ~owner ~write ~addr ~size =
+  t.one_addr.(0) <- addr;
+  t.one_meta.(0) <- pack_access ~owner ~write ~size;
+  access_batch t ~addrs:t.one_addr ~metas:t.one_meta ~pos:0 ~len:1
+
+let touch_line t ~owner ~write ~line_addr =
+  if line_addr < 0 then invalid_arg "Cache.touch_line: negative address";
+  let hits () = (Stats.owner_counters t.stats owner).Stats.hits in
+  let before = hits () in
+  access_one t ~owner ~write ~addr:line_addr ~size:1;
+  hits () > before
+
+let access t ~owner ~write ~addr ~size =
+  if size <= 0 then invalid_arg "Cache.access: non-positive size";
+  if addr < 0 then invalid_arg "Cache.access: negative address";
+  access_one t ~owner ~write ~addr ~size
+
+(* End-of-run eviction of everything resident; every dirty line's
+   write-back is also handed to [spill] (slot order, i.e. set-major) so
+   a next cache level can absorb it.  With residency attached, every
+   surviving line's open phase is closed at the current event clock —
+   the driver sets [now] to the run horizon first ([set_now]) so
+   end-of-run exposure is counted up to the horizon and no further. *)
+let flush ?(spill = nofeed) t =
   Array.iteri
     (fun w tag ->
       if tag >= 0 then begin

@@ -21,15 +21,13 @@ val stats : t -> Stats.t
 (** {2 Logical event clock and residency tracking}
 
     The cache keeps a logical clock [now]: the ordinal of the reference
-    event being processed (batch walks advance it by the batch length,
-    {!access}/{!touch_line} by one per call).  Attaching a
-    {!Residency.t} turns on per-line phase accounting on that clock:
-    every resident line carries the start time of its current clean or
-    dirty phase, and fills, first dirtying writes, evictions and
-    flushes close the open phase into the accumulator.  With no
-    residency attached the specialized sharded walks are byte-for-byte
-    the ones the throughput benchmarks measure; with one attached they
-    fall back to the generic per-line path (slower, still exact). *)
+    event being processed ({!access_batch} sets it per event and leaves
+    it past the batch, {!access}/{!touch_line} advance it by one per
+    call).  Attaching a {!Residency.t} turns on per-line phase
+    accounting on that clock: every resident line carries the start
+    time of its current clean or dirty phase, and fills, first dirtying
+    writes, evictions and flushes close the open phase into the
+    accumulator. *)
 
 val now : t -> int
 
@@ -81,107 +79,39 @@ val unpack_access : int -> int * bool * int
 (** [(owner, write, size)] of a word built by {!pack_access}. *)
 
 val access_batch :
+  ?times:int array ->
+  ?fill:(owner:int -> line:int -> unit) ->
+  ?spill:(owner:int -> line:int -> unit) ->
   t -> addrs:int array -> metas:int array -> pos:int -> len:int -> unit
-(** Simulate [addrs.(pos .. pos+len-1)] (with matching {!pack_access}
-    metadata in [metas]) as if each were passed to {!access} in order:
-    same line splitting, same statistics, one bounds check and one call
-    for the whole block.  Raises [Invalid_argument] on a range outside
-    either array or on a negative address. *)
+(** The simulation kernel: simulate [addrs.(pos .. pos+len-1)] (with
+    matching {!pack_access} metadata in [metas]) as if each were passed
+    to {!access} in order — same line splitting, same statistics, one
+    bounds check and one call for the whole block.  Every replay path
+    (tapes, hierarchy levels, the single-reference entry points) runs
+    through it.
 
-(** {2 Set-sharded walks}
+    [fill ~owner ~line] is called for every line miss (the demand fetch)
+    and [spill ~owner ~line] for every dirty eviction (the write-back),
+    with [line] the line {e number}; a victim's spill is reported before
+    the missing line's fill.  A next cache level consumes these.
 
-    Each set's LRU state is independent of every other set's, so a batch
-    can be partitioned by set index with zero locking: a line belongs to
-    shard [line land (eff - 1)] where [eff = min shards sets] (both
-    powers of two, so the shard bits are the low bits of the set index
-    and no set is split between shards).  Running every shard in
-    [0 .. shards-1] over the same batch — in any order, on any domains —
-    makes exactly the serial per-set decisions, so merging the shard
-    caches' statistics reproduces the serial totals bit for bit. *)
+    [times] supplies explicit event ordinals (non-decreasing): the clock
+    is set to [times.(i)] before event [i] and stays at the last one
+    afterwards.  Without it event [i] runs at [now + (i - pos)] and the
+    clock ends at [now + len].  A deeper hierarchy level's fills and
+    spills carry the {e originating} program-event times this way.
 
-val effective_shards : t -> shards:int -> int
-(** [min shards sets]: the number of shards that actually own sets of
-    this cache.  Shards [>= effective_shards] are no-ops for it.  Raises
-    [Invalid_argument] if [shards] is not a positive power of two. *)
+    Raises [Invalid_argument] on a range outside any of the arrays or
+    on a negative address; a rejected batch leaves the cache
+    untouched. *)
 
-val access_batch_sharded :
-  t ->
-  addrs:int array ->
-  metas:int array ->
-  pos:int ->
-  len:int ->
-  shards:int ->
-  shard:int ->
-  unit
-(** Like {!access_batch} but touching only the lines owned by [shard] of
-    [shards].  [~shards:1 ~shard:0] is the full walk.  Raises
-    [Invalid_argument] on a bad range, a negative address, a [shards]
-    that is not a positive power of two, or [shard] outside
-    [0 .. shards-1]. *)
-
-val access_batch_feed :
-  t ->
-  addrs:int array ->
-  metas:int array ->
-  pos:int ->
-  len:int ->
-  shards:int ->
-  shard:int ->
-  fill:(owner:int -> line:int -> unit) ->
-  spill:(owner:int -> line:int -> unit) ->
-  unit
-(** {!access_batch_sharded} that also reports the traffic a next cache
-    level would see: [fill ~owner ~line] for every line miss (the demand
-    fetch) and [spill ~owner ~line] for every dirty eviction (the
-    write-back), with [line] the line {e number}.  A victim's spill is
-    reported before the missing line's fill. *)
-
-(** {2 Explicitly timed walks}
-
-    A deeper hierarchy level's input events (fills and spills) carry the
-    {e originating} program-event times, not this cache's own traffic
-    count, so the caller supplies a parallel [times] array
-    (non-decreasing event ordinals) instead of the implicit clock.  Used
-    by {!Hierarchy} in timed mode; after the walk [now] is the last
-    event's time. *)
-
-val access_batch_timed :
-  t ->
-  addrs:int array ->
-  metas:int array ->
-  times:int array ->
-  pos:int ->
-  len:int ->
-  unit
-(** {!access_batch} with the clock set to [times.(i)] before event [i].
-    Raises [Invalid_argument] on a bad range in any of the three
-    arrays. *)
-
-val access_batch_feed_timed :
-  t ->
-  addrs:int array ->
-  metas:int array ->
-  times:int array ->
-  pos:int ->
-  len:int ->
-  fill:(owner:int -> line:int -> unit) ->
-  spill:(owner:int -> line:int -> unit) ->
-  unit
-(** Timed unsharded {!access_batch_feed}. *)
-
-val set_of_addr : t -> int -> int
-(** Set index of a byte address — the sharding key.  Raises
-    [Invalid_argument] on a negative address. *)
-
-val flush : t -> unit
+val flush : ?spill:(owner:int -> line:int -> unit) -> t -> unit
 (** Evict everything, recording writebacks for dirty lines.  Called at the
     end of a simulation when the experiment counts end-of-run evictions.
-    With residency attached, every surviving line's open phase is closed
-    at the current clock (set {!set_now} to the run horizon first). *)
-
-val flush_feed : t -> spill:(owner:int -> line:int -> unit) -> unit
-(** {!flush} that also hands every dirty line's write-back to [spill]
-    (slot order), so a next cache level can absorb end-of-run traffic. *)
+    Every dirty line's write-back is also handed to [spill] (slot order),
+    so a next cache level can absorb end-of-run traffic.  With residency
+    attached, every surviving line's open phase is closed at the current
+    clock (set {!set_now} to the run horizon first). *)
 
 val invalidate : t -> unit
 (** Drop all contents without recording writebacks (cold restart between

@@ -13,7 +13,7 @@
    With residency accumulators attached ([attach_residency]) the funnel
    also carries logical time: each queued fill/spill is stamped with the
    emitting cache's event clock ([q_times]), and deeper levels replay
-   their input through the explicitly-timed walks so a line's clean and
+   their input with those explicit times so a line's clean and
    dirty phases at L2 are measured on the *program's* event axis, not
    L2's own (much sparser) traffic count. *)
 
@@ -106,54 +106,21 @@ let attach_residency t residencies =
 
 let set_now t time = Array.iter (fun c -> Cache.set_now c time) t.caches
 
-(* The shard partition key is the line number, shared by every level
-   (one line size); for the per-set independence argument to hold at
-   every level, the effective shard count must divide the set count of
-   the *smallest* level. *)
-let max_shards t =
-  Array.fold_left
-    (fun acc c -> min acc (Cache.config c).Config.sets)
-    max_int t.caches
-
-(* [feed_entry] drives level 1 over a packed program batch; misses and
-   dirty evictions are pushed (as full-line read fills / write spills)
-   into the queue toward level 2, which is drained whenever it fills and
-   recursively fed onward through [feed_inner].  Inner levels always run
-   unsharded: the entry-level filter already restricted the stream to
-   one shard's lines, and fills/spills stay on those same lines, so
-   re-filtering would be redundant — and wrong if a deeper level had
-   fewer sets than the effective shard count.  In timed mode the inner
-   walks take the queue's stamp column so deeper levels advance on the
-   program's event axis. *)
-let rec feed_entry t ~addrs ~metas ~pos ~len ~shards ~shard =
-  let cache = t.caches.(0) in
-  if Array.length t.caches = 1 then
-    Cache.access_batch_sharded cache ~addrs ~metas ~pos ~len ~shards ~shard
-  else begin
-    let fill ~owner ~line = push t ~level:0 ~owner ~line ~write:false in
-    let spill ~owner ~line = push t ~level:0 ~owner ~line ~write:true in
-    Cache.access_batch_feed cache ~addrs ~metas ~pos ~len ~shards ~shard ~fill
-      ~spill;
-    flush_queue t ~level:0
-  end
-
-and feed_inner t ~level ~addrs ~metas ~times ~pos ~len =
+(* [feed] drives one level over a packed batch.  Every level but the
+   last reports its misses and dirty evictions (as full-line read fills
+   and write spills) into the queue toward the next level, which is
+   drained whenever it fills and when the batch ends.  In timed mode
+   the inner levels take the queue's stamp column as [times], so deeper
+   levels advance on the program's event axis; level 1 runs on its
+   implicit clock. *)
+let rec feed t ~level ?times ~addrs ~metas ~pos ~len () =
   let cache = t.caches.(level) in
-  if level = Array.length t.caches - 1 then begin
-    if t.timed then Cache.access_batch_timed cache ~addrs ~metas ~times ~pos ~len
-    else
-      Cache.access_batch_sharded cache ~addrs ~metas ~pos ~len ~shards:1
-        ~shard:0
-  end
+  if level = Array.length t.caches - 1 then
+    Cache.access_batch ?times cache ~addrs ~metas ~pos ~len
   else begin
     let fill ~owner ~line = push t ~level ~owner ~line ~write:false in
     let spill ~owner ~line = push t ~level ~owner ~line ~write:true in
-    if t.timed then
-      Cache.access_batch_feed_timed cache ~addrs ~metas ~times ~pos ~len ~fill
-        ~spill
-    else
-      Cache.access_batch_feed cache ~addrs ~metas ~pos ~len ~shards:1 ~shard:0
-        ~fill ~spill;
+    Cache.access_batch ?times ~fill ~spill cache ~addrs ~metas ~pos ~len;
     flush_queue t ~level
   end
 
@@ -172,25 +139,13 @@ and flush_queue t ~level =
     (* Reset before feeding: the next level's own spills may re-enter
        [push] for this queue while we are still walking it. *)
     q.q_len <- 0;
-    feed_inner t ~level:(level + 1) ~addrs:q.q_addrs ~metas:q.q_metas
-      ~times:q.q_times ~pos:0 ~len
+    feed t ~level:(level + 1)
+      ?times:(if t.timed then Some q.q_times else None)
+      ~addrs:q.q_addrs ~metas:q.q_metas ~pos:0 ~len ()
   end
 
-let access_batch_sharded t ~addrs ~metas ~pos ~len ~shards ~shard =
-  if shards <= 0 || shards land (shards - 1) <> 0 then
-    invalid_arg
-      (Printf.sprintf
-         "Hierarchy: shards must be a positive power of two (got %d)" shards);
-  if shard < 0 || shard >= shards then
-    invalid_arg
-      (Printf.sprintf "Hierarchy: shard %d out of range (0..%d)" shard
-         (shards - 1));
-  let eff = min shards (max_shards t) in
-  (* Shards beyond the effective count own no sets at any level. *)
-  if shard < eff then feed_entry t ~addrs ~metas ~pos ~len ~shards:eff ~shard
-
 let access_batch t ~addrs ~metas ~pos ~len =
-  access_batch_sharded t ~addrs ~metas ~pos ~len ~shards:1 ~shard:0
+  feed t ~level:0 ~addrs ~metas ~pos ~len ()
 
 let access t ~owner ~write ~addr ~size =
   t.scratch_addr.(0) <- addr;
@@ -214,7 +169,7 @@ let flush t =
   for level = 0 to last - 1 do
     flush_queue t ~level;
     if t.timed then Cache.set_now t.caches.(level) horizon_now;
-    Cache.flush_feed t.caches.(level) ~spill:(fun ~owner ~line ->
+    Cache.flush t.caches.(level) ~spill:(fun ~owner ~line ->
         push t ~level ~owner ~line ~write:true);
     flush_queue t ~level
   done;

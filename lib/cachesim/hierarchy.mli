@@ -22,8 +22,7 @@ type t
 val create : ?funnel_events:int -> Config.t list -> t
 (** [create configs] builds a hierarchy with [List.nth configs 0] as L1.
     All levels must share one line size — fills and spills forward whole
-    lines, and the set-sharded walk partitions every level by the same
-    line-number bits.  [funnel_events] (default 4096) sizes the
+    lines.  [funnel_events] (default 4096) sizes the
     inter-level buffers.  Raises [Invalid_argument] on an empty list,
     mismatched line sizes, or a non-positive [funnel_events]. *)
 
@@ -39,7 +38,7 @@ val attach_residency : t -> Residency.t array -> unit
 (** Attach one {!Residency.t} per level (array length must equal
     {!depth}) and switch the funnel to timed mode: every queued fill or
     spill is stamped with the emitting cache's event clock, and deeper
-    levels replay their input through the explicitly timed walks — so a
+    levels replay their input with those explicit times — so a
     line's clean/dirty phases at every level are measured on the
     program's event axis.  Attach before the first access.  Raises
     [Invalid_argument] on a length mismatch. *)
@@ -48,33 +47,12 @@ val set_now : t -> int -> unit
 (** Pin every level's event clock (see {!Cache.set_now}) — the replay
     driver sets the run horizon before {!flush}. *)
 
-val max_shards : t -> int
-(** Largest usable shard count: the minimum set count over all levels.
-    {!access_batch_sharded} clamps its [shards] argument to this. *)
-
 val access : t -> owner:int -> write:bool -> addr:int -> size:int -> unit
 (** Single-reference entry point (mirrors {!Cache.access}). *)
 
 val access_batch :
   t -> addrs:int array -> metas:int array -> pos:int -> len:int -> unit
 (** Packed-batch entry point (mirrors {!Cache.access_batch}). *)
-
-val access_batch_sharded :
-  t ->
-  addrs:int array ->
-  metas:int array ->
-  pos:int ->
-  len:int ->
-  shards:int ->
-  shard:int ->
-  unit
-(** Walk only the lines owned by [shard] of [shards] — the partition key
-    is the line number, shared by every level, so per-set independence
-    holds hierarchy-wide and running all shards over the same batch
-    reproduces the serial statistics at every level bit for bit.
-    [shards] is clamped to {!max_shards}; shards beyond the clamp are
-    no-ops.  The filter applies at level 1 only: deeper levels see only
-    fills/spills of already-filtered lines. *)
 
 val flush : t -> unit
 (** Drain the hierarchy top-down: level [i]'s flush spills feed level

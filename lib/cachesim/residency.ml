@@ -4,9 +4,8 @@
    quantity here is an exact integer: a closed interval [t0, t1)
    contributes [t1 - t0] line-events to its owner's clean or dirty
    integral, and its overlap with each fixed-width window of the run to
-   that window's histogram bin.  Integer addition commutes, so shard
-   replicas merged with [merge]/[sum] reproduce the serial accumulator
-   bit for bit — the same contract [Stats] gives the sharded walks. *)
+   that window's histogram bin.  Integer addition commutes, so [merge]
+   is independent of merge order. *)
 
 type cell = {
   mutable clean_time : int;
@@ -227,9 +226,8 @@ module Snapshot = struct
     else float_of_int (resident_time c) /. float_of_int s.s_horizon
 end
 
-(* Cross-shard aggregation: integer addition only, so the merged
-   accumulator is independent of merge order — required for the
-   sharded walk's bit-identity guarantee. *)
+(* Integer addition only, so the merged accumulator is independent of
+   merge order. *)
 let merge ~into src =
   if into.bins <> src.bins || into.horizon <> src.horizon then
     invalid_arg
@@ -253,13 +251,6 @@ let merge ~into src =
           c.dirty_bins
       end)
     src.cells
-
-let sum = function
-  | [] -> invalid_arg "Residency.sum: empty list"
-  | r :: _ as rs ->
-      let acc = create ~bins:r.bins ~horizon:r.horizon () in
-      List.iter (fun s -> merge ~into:acc s) rs;
-      acc
 
 let reset t =
   Array.iter

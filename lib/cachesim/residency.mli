@@ -13,9 +13,8 @@
     vulnerability-vs-time histogram of [bins] fixed-width windows over
     [0, horizon).
 
-    Everything is integer addition, so {!merge}/{!sum} over shard or
-    domain replicas reproduce the serial accumulator bit for bit — the
-    same contract {!Stats} gives the sharded walks. *)
+    Everything is integer addition, so {!merge} is independent of merge
+    order. *)
 
 type t
 
@@ -94,10 +93,5 @@ end
 val merge : into:t -> t -> unit
 (** Add every integral and histogram of the source into [into].  Raises
     [Invalid_argument] on mismatched bins/horizon. *)
-
-val sum : t list -> t
-(** Fresh accumulator holding the element-wise sum; all inputs must
-    share bins and horizon.  Raises [Invalid_argument] on an empty
-    list. *)
 
 val reset : t -> unit

@@ -158,11 +158,6 @@ let merge ~into src =
       end)
     src.cells
 
-let sum stats =
-  let acc = create () in
-  List.iter (fun s -> merge ~into:acc s) stats;
-  acc
-
 let reset t =
   Array.iter
     (fun (c : cell) ->

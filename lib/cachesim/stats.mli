@@ -68,11 +68,7 @@ module Snapshot : sig
 end
 
 val merge : into:t -> t -> unit
-(** [merge ~into src] adds every counter of [src] into [into].  Used to
-    aggregate the per-domain caches of a parallel sweep after the worker
-    domains join; addition commutes, so the result is schedule-independent. *)
-
-val sum : t list -> t
-(** Fresh statistics holding the element-wise sum of the inputs. *)
+(** [merge ~into src] adds every counter of [src] into [into]; addition
+    commutes, so the result is independent of merge order. *)
 
 val reset : t -> unit

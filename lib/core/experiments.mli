@@ -82,8 +82,9 @@ val cache_sweep :
     {e once} into a {!Memtrace.Tape} ({!Verify.capture}) and all
     geometries are driven by fused chunk walks
     ({!Memtrace.Tape.replay_fused}) — one walk for the whole sweep at
-    [jobs = 1], one per job group otherwise; results are independent of
-    the grouping.  Each row's [sim_n_ha] then holds the simulated total
+    [jobs = 1], otherwise one per contiguous group of geometries, [jobs]
+    groups on [jobs] domains; results are independent of the
+    grouping.  Each row's [sim_n_ha] then holds the simulated total
     main-memory accesses next to the analytic [n_ha].  Telemetry adds
     ["cache_sweep/<workload>/replay"] spans plus the shared
     ["tape/*"]/["cache/accesses"] counters and

@@ -13,47 +13,6 @@ let error row =
 
 module Telemetry = Dvf_util.Telemetry
 
-type strategy = Retrace | Replay | Fused | Sharded
-
-let strategies =
-  [
-    ("retrace", Retrace); ("replay", Replay); ("fused", Fused);
-    ("sharded", Sharded);
-  ]
-
-let strategy_name s = fst (List.find (fun (_, v) -> v = s) strategies)
-
-(* Largest power of two <= n; the set-sharded walks require a
-   power-of-two shard count so the shard bits nest inside the set
-   index bits. *)
-let pow2_floor n =
-  if n < 1 then 1
-  else begin
-    let p = ref 1 in
-    while !p * 2 <= n do p := !p * 2 done;
-    !p
-  end
-
-let check_shard_count shards =
-  if shards <= 0 || shards land (shards - 1) <> 0 then
-    invalid_arg
-      (Printf.sprintf
-         "Verify: shards must be a positive power of two (got %d)" shards)
-
-(* Central shard-count clamp.  The engine clamps per call
-   ([access_batch_sharded] lowers its effective width to the cache's set
-   count), but a width above the smallest consumer's set count would
-   still spawn tasks that own no line of that consumer — and would leave
-   the partition view and the walk disagreeing about how many tasks
-   exist.  Clamping once, where the width is chosen, keeps task fan-out,
-   partition views and telemetry on the same number.  Set counts are
-   powers of two, so the clamped width still is; rows never depend on
-   the width, so the clamp is invisible in the output. *)
-let clamp_shards ~configs shards =
-  List.fold_left
-    (fun acc (c : Cachesim.Config.t) -> min acc c.Cachesim.Config.sets)
-    shards configs
-
 (* Turn one simulated cache's final state into Fig. 4 rows: run the
    analytical model (under a ["model"] span) and pair each structure's
    estimate with the simulator's per-owner main-memory count. *)
@@ -175,48 +134,32 @@ let capture ?(telemetry = Telemetry.null) ?store
   in
   { instance; registry; tape }
 
-let replay_capture ?(telemetry = Telemetry.null) ~cache cap =
-  Telemetry.span telemetry
-    (Printf.sprintf "verify/%s/%s" cap.instance.Workload.workload
-       cache.Cachesim.Config.name)
-  @@ fun () ->
-  let sim_cache = Cachesim.Cache.create cache in
-  let replay_ns = ref 0L in
-  Telemetry.span telemetry "replay" (fun () ->
-      let t0 = Telemetry.now_ns telemetry in
-      Memtrace.Tape.replay cap.tape sim_cache;
-      Cachesim.Cache.flush sim_cache;
-      replay_ns := Int64.sub (Telemetry.now_ns telemetry) t0);
-  let snapshot = Cachesim.Stats.snapshot (Cachesim.Cache.stats sim_cache) in
-  if Telemetry.enabled telemetry then begin
-    Telemetry.add telemetry ~n:(Memtrace.Tape.length cap.tape)
-      "tape/replay_events";
-    Telemetry.add telemetry
-      ~n:(Cachesim.Stats.Snapshot.accesses snapshot.Cachesim.Stats.totals)
-      "cache/accesses";
-    Telemetry.time_ns telemetry "verify/replay_total" !replay_ns
-  end;
-  rows_of_snapshot ~telemetry ~cache ~registry:cap.registry cap.instance
-    snapshot
+(* --- the engine ---
+
+   One unit of work per workload: capture its tape (or load it from the
+   store), walk the tape once over every consumer — caches, or
+   hierarchies — and turn the consumers' final state into rows.  [sweep]
+   fans these units over [jobs] domains.  Each unit owns its private
+   mutable state (the tape is append-only during capture and read-only
+   afterwards), so units share nothing mutable, and [Parallel.map_list]
+   preserves input order: rows are identical at any job count. *)
 
 let replay_capture_fused ?(telemetry = Telemetry.null) ~caches cap =
-  let sims =
-    Telemetry.span telemetry
-      (Printf.sprintf "verify/%s/fused" cap.instance.Workload.workload)
-      (fun () ->
-        let sims = Array.of_list (List.map Cachesim.Cache.create caches) in
-        let t0 = Telemetry.now_ns telemetry in
-        Memtrace.Tape.replay_fused cap.tape sims;
-        Array.iter Cachesim.Cache.flush sims;
-        let replay_ns = Int64.sub (Telemetry.now_ns telemetry) t0 in
-        if Telemetry.enabled telemetry then begin
-          Telemetry.add telemetry
-            ~n:(Array.length sims * Memtrace.Tape.length cap.tape)
-            "tape/replay_events";
-          Telemetry.time_ns telemetry "verify/replay_total" replay_ns
-        end;
-        sims)
-  in
+  Telemetry.span telemetry
+    (Printf.sprintf "verify/%s" cap.instance.Workload.workload)
+  @@ fun () ->
+  let sims = Array.of_list (List.map Cachesim.Cache.create caches) in
+  Telemetry.span telemetry "replay" (fun () ->
+      let t0 = Telemetry.now_ns telemetry in
+      Memtrace.Tape.replay_fused cap.tape sims;
+      Array.iter Cachesim.Cache.flush sims;
+      if Telemetry.enabled telemetry then begin
+        Telemetry.add telemetry
+          ~n:(Array.length sims * Memtrace.Tape.length cap.tape)
+          "tape/replay_events";
+        Telemetry.time_ns telemetry "verify/replay_total"
+          (Int64.sub (Telemetry.now_ns telemetry) t0)
+      end);
   List.concat
     (List.mapi
        (fun i cache ->
@@ -233,116 +176,8 @@ let replay_capture_fused ?(telemetry = Telemetry.null) ~caches cap =
            cap.instance snapshot)
        caches)
 
-(* --- set-sharded fused replay ---
-
-   The shard task for shard [s] creates a private replica of every cache,
-   walks the whole tape once touching only [s]'s lines in each replica,
-   and flushes.  Replicas share nothing, so the tasks run on any domains
-   with zero locking; merging each cache's replica statistics in shard
-   order ([Stats.sum], commutative addition) reproduces the serial fused
-   statistics bit for bit.
-
-   The tape is partitioned up front ([Tape.partition]): each shard task
-   walks only the chunks whose partition index intersects its shard,
-   instead of rescanning the whole tape and discarding.  Returns the
-   views alongside the merged statistics so the caller can report the
-   skip telemetry. *)
-let sharded_shard_stats ?pool ~caches ~shards cap =
-  let views =
-    Memtrace.Tape.partition cap.tape
-      (Array.of_list (List.map Cachesim.Cache.create caches))
-      ~shards
-  in
-  let run_shard shard =
-    let sims = Array.of_list (List.map Cachesim.Cache.create caches) in
-    Memtrace.Tape.replay_view views.(shard) sims;
-    Array.iter Cachesim.Cache.flush sims;
-    Array.map Cachesim.Cache.stats sims
-  in
-  let shard_ids = List.init shards (fun s -> s) in
-  let per_shard =
-    match pool with
-    | Some pool -> Dvf_util.Parallel.Pool.map_list pool run_shard shard_ids
-    | None -> List.map run_shard shard_ids
-  in
-  let merged =
-    List.mapi
-      (fun i _ ->
-        Cachesim.Stats.sum (List.map (fun stats -> stats.(i)) per_shard))
-      caches
-  in
-  (merged, views)
-
-let sum_over_views views f =
-  Array.fold_left (fun acc v -> acc + f v) 0 views
-
-let replay_capture_sharded ?(telemetry = Telemetry.null) ?pool ~caches ~shards
-    cap =
-  check_shard_count shards;
-  let shards = clamp_shards ~configs:caches shards in
-  Telemetry.span telemetry
-    (Printf.sprintf "verify/%s/sharded" cap.instance.Workload.workload)
-  @@ fun () ->
-  let t0 = Telemetry.now_ns telemetry in
-  let merged, views = sharded_shard_stats ?pool ~caches ~shards cap in
-  let replay_ns = Int64.sub (Telemetry.now_ns telemetry) t0 in
-  if Telemetry.enabled telemetry then begin
-    (* Logical event count, independent of the shard fan-out: every cache
-       consumed the full stream exactly once (each shard touched a
-       disjoint slice of it). *)
-    Telemetry.add telemetry
-      ~n:(List.length caches * Memtrace.Tape.length cap.tape)
-      "tape/replay_events";
-    Telemetry.add telemetry ~n:shards "shard/tasks";
-    (* Engine-side work: after the central clamp every cache owns lines
-       in every shard task, and each task walks only the chunks its
-       partition view selected — so the walked total is caches x sum
-       over shards of the view's event count.  The aggregate
-       walked-events rate is the sharded engine's throughput summed over
-       its domains — the figure wall-clock converges to when the shard
-       tasks really run in parallel. *)
-    Telemetry.add telemetry
-      ~n:
-        (List.length caches
-        * sum_over_views views Memtrace.Tape.view_events)
-      "shard/walked_events";
-    Telemetry.add telemetry
-      ~n:(sum_over_views views Memtrace.Tape.view_chunks_skipped)
-      "tape/chunks_skipped";
-    Telemetry.set_gauge telemetry "shard/count" (float_of_int shards);
-    Telemetry.time_ns telemetry "verify/replay_total" replay_ns
-  end;
-  List.concat
-    (List.map2
-       (fun cache stats ->
-         let snapshot = Cachesim.Stats.snapshot stats in
-         if Telemetry.enabled telemetry then
-           Telemetry.add telemetry
-             ~n:
-               (Cachesim.Stats.Snapshot.accesses snapshot.Cachesim.Stats.totals)
-             "cache/accesses";
-         rows_of_snapshot ~telemetry ~cache ~registry:cap.registry cap.instance
-           snapshot)
-       caches merged)
-
-(* Every job owns private mutable state (registry/recorder/cache for a
-   retrace job; the tape is append-only during capture and read-only
-   during replay), so jobs share nothing mutable and the parallel sweep is
-   bit-identical to the serial one.  [Parallel.map_list] preserves input
-   order; every path below enumerates workloads (outer) then caches
-   (inner) in the same order. *)
 let finalize_metrics telemetry =
   if Telemetry.enabled telemetry then begin
-    (* Retrace: whole-pipeline rates (kernel execution + simulation in one
-       denominator).  [gauge_rate] is a no-op for a span with no time, so
-       only the gauges of the strategy that actually ran appear. *)
-    Telemetry.gauge_rate telemetry ~name:"cache/accesses_per_sec"
-      ~counter:"cache/accesses" ~span:"verify/trace_total";
-    Telemetry.gauge_rate telemetry ~name:"recorder/events_per_sec"
-      ~counter:"recorder/events" ~span:"verify/trace_total";
-    (* Capture/replay: the two phases rated separately — the retrace-era
-       recorder rate divided by a span that lumped kernel execution in
-       with cache simulation and understated both. *)
     Telemetry.gauge_rate telemetry ~name:"recorder/events_per_sec"
       ~counter:"recorder/events" ~span:"verify/capture_total";
     Telemetry.gauge_rate telemetry ~name:"tape/capture_events_per_sec"
@@ -365,122 +200,42 @@ let finalize_metrics telemetry =
         /. float_of_int batches)
   end
 
-let run_all ?jobs ?(telemetry = Telemetry.null) ?(strategy = Replay) ?shards
-    ?store ?workloads () =
-  if strategy = Retrace && store <> None then
-    invalid_arg
-      "Verify.run_all: the retrace strategy re-executes the kernel per cache \
-       and never captures a tape, so a tape store cannot help it; use \
-       replay, fused or sharded";
+(* Run [unit_of_work] on every workload's capture, over [jobs] domains,
+   concatenating rows in workload order.  Wall time goes to
+   ["verify/total"] as an absolute timer rather than an enclosing
+   [span]: units run in worker domains (fresh span stacks) under
+   [-j N], so an enclosing span would prefix their paths only in the
+   serial case. *)
+let sweep ?jobs ~telemetry ?store ?workloads unit_of_work =
   let workloads =
     match workloads with Some ws -> ws | None -> Workloads.all ()
   in
   let jobs =
     match jobs with
-    | Some j -> j
+    | Some j -> max 1 j
     | None -> Dvf_util.Parallel.recommended_jobs ()
   in
-  let caches = Cachesim.Config.verification_set in
-  let shards =
-    clamp_shards ~configs:caches
-      (match shards with
-      | Some s ->
-          check_shard_count s;
-          s
-      | None -> pow2_floor (max 1 jobs))
-  in
-  (* Absolute timer rather than an enclosing [span]: instance spans run in
-     worker domains (fresh span stacks) under [-j N], so an enclosing span
-     would prefix their paths only in the serial case and the two metrics
-     documents would disagree on structure. *)
   let t0 = Telemetry.now_ns telemetry in
   let rows =
-    if jobs <= 1 then
-      List.concat_map
-        (fun workload ->
-          let instance = Workloads.verification_instance workload in
-          match strategy with
-          | Retrace ->
-              List.concat_map
-                (fun cache -> verify_instance ~telemetry ~cache instance)
-                caches
-          | Replay ->
-              let cap = capture ~telemetry ?store instance in
-              List.concat_map
-                (fun cache -> replay_capture ~telemetry ~cache cap)
-                caches
-          | Fused ->
-              replay_capture_fused ~telemetry ~caches
-                (capture ~telemetry ?store instance)
-          | Sharded ->
-              replay_capture_sharded ~telemetry ~caches ~shards
-                (capture ~telemetry ?store instance))
-        workloads
-    else
-      Dvf_util.Parallel.with_pool ~telemetry ~jobs (fun pool ->
-          (* Building an instance runs the kernel untraced (to learn its
-             iteration count); parallelize that too, then fan out over the
-             workload x cache cross product (or, for [Fused], over
-             workloads — each job walks its tape once for all caches). *)
-          let instances =
-            Dvf_util.Parallel.Pool.map_list pool Workloads.verification_instance
-              workloads
-          in
-          match strategy with
-          | Retrace ->
-              let pairs =
-                List.concat_map
-                  (fun instance ->
-                    List.map (fun cache -> (instance, cache)) caches)
-                  instances
-              in
-              List.concat
-                (Dvf_util.Parallel.Pool.map_list pool
-                   (fun (instance, cache) ->
-                     verify_instance ~telemetry ~cache instance)
-                   pairs)
-          | Replay ->
-              (* Capture each workload's tape once (in parallel), then fan
-                 the replays over the pool: tapes are immutable after
-                 capture, so concurrent replays of one tape are safe. *)
-              let captures =
-                Dvf_util.Parallel.Pool.map_list pool
-                  (fun instance -> capture ~telemetry ?store instance)
-                  instances
-              in
-              let pairs =
-                List.concat_map
-                  (fun cap -> List.map (fun cache -> (cap, cache)) caches)
-                  captures
-              in
-              List.concat
-                (Dvf_util.Parallel.Pool.map_list pool
-                   (fun (cap, cache) -> replay_capture ~telemetry ~cache cap)
-                   pairs)
-          | Fused ->
-              List.concat
-                (Dvf_util.Parallel.Pool.map_list pool
-                   (fun instance ->
-                     replay_capture_fused ~telemetry ~caches
-                       (capture ~telemetry ?store instance))
-                   instances)
-          | Sharded ->
-              (* Captures fan out over the pool first; then each capture's
-                 shard tasks do (the pool is handed down, and the shard
-                 fan-out runs from this orchestrating domain). *)
-              let captures =
-                Dvf_util.Parallel.Pool.map_list pool
-                  (fun instance -> capture ~telemetry ?store instance)
-                  instances
-              in
-              List.concat_map
-                (fun cap ->
-                  replay_capture_sharded ~telemetry ~pool ~caches ~shards cap)
-                captures)
+    List.concat
+      (Dvf_util.Parallel.map_list ~telemetry ~jobs
+         (fun workload ->
+           unit_of_work
+             (capture ~telemetry ?store
+                (Workloads.verification_instance workload)))
+         workloads)
   in
   if Telemetry.enabled telemetry then
     Telemetry.time_ns telemetry "verify/total"
       (Int64.sub (Telemetry.now_ns telemetry) t0);
+  rows
+
+let run_all ?jobs ?(telemetry = Telemetry.null) ?store ?workloads () =
+  let caches = Cachesim.Config.verification_set in
+  let rows =
+    sweep ?jobs ~telemetry ?store ?workloads
+      (replay_capture_fused ~telemetry ~caches)
+  in
   finalize_metrics telemetry;
   rows
 
@@ -547,119 +302,35 @@ let record_level_counters telemetry ~configs stats_list =
           (name "hierarchy/l%d/writebacks"))
       (List.combine configs stats_list)
 
-(* One capture's per-level rows over every verification base geometry,
-   serially — the [Replay]/[Fused] unit of work in [run_all_levels] and
-   the whole job for a [Serve] levels request. *)
+(* One capture's per-level rows over every verification base geometry:
+   one fused walk drives every base's hierarchy.  The unit of work in
+   [run_all_levels] and the whole job for a [Serve] levels request. *)
 let capture_level_rows ?(telemetry = Telemetry.null) ~levels cap =
-  List.concat_map
-    (fun base ->
-      let configs = Cachesim.Config.hierarchy_of ~levels base in
-      let h = Cachesim.Hierarchy.create configs in
-      Memtrace.Tape.replay_hierarchies cap.tape [| h |];
-      Cachesim.Hierarchy.flush h;
-      let stats_list = hierarchy_level_stats h in
-      record_level_counters telemetry ~configs stats_list;
-      level_rows_of_stats ~registry:cap.registry cap.instance ~base ~configs
-        stats_list)
-    Cachesim.Config.verification_set
-
-let run_all_levels ?jobs ?(telemetry = Telemetry.null) ?(strategy = Replay)
-    ?shards ?store ?workloads ~levels () =
-  if strategy = Retrace then
-    invalid_arg
-      "Verify.run_all_levels: the retrace strategy re-executes the kernel \
-       straight into a single cache and cannot drive a hierarchy; use \
-       replay, fused or sharded";
-  let workloads =
-    match workloads with Some ws -> ws | None -> Workloads.all ()
-  in
-  let jobs =
-    match jobs with
-    | Some j -> j
-    | None -> Dvf_util.Parallel.recommended_jobs ()
-  in
   let bases = Cachesim.Config.verification_set in
-  (* Deeper hierarchy levels only ever gain sets ([hierarchy_of]), so the
-     base geometries bound the hierarchy-wide effective width. *)
-  let shards =
-    clamp_shards ~configs:bases
-      (match shards with
-      | Some s ->
-          check_shard_count s;
-          s
-      | None -> pow2_floor (max 1 jobs))
+  let configs_of base = Cachesim.Config.hierarchy_of ~levels base in
+  let hierarchies =
+    List.map (fun base -> Cachesim.Hierarchy.create (configs_of base)) bases
   in
-  let process ?pool cap =
-    match strategy with
-    | Retrace -> assert false (* rejected above *)
-    | Replay | Fused -> capture_level_rows ~telemetry ~levels cap
-    | Sharded ->
-        List.concat_map
-          (fun base ->
-            let configs = Cachesim.Config.hierarchy_of ~levels base in
-            let views =
-              Memtrace.Tape.partition_hierarchies cap.tape
-                [| Cachesim.Hierarchy.create configs |]
-                ~shards
-            in
-            let run_shard shard =
-              let h = Cachesim.Hierarchy.create configs in
-              Memtrace.Tape.replay_view_hierarchies views.(shard) [| h |];
-              Cachesim.Hierarchy.flush h;
-              hierarchy_level_stats h
-            in
-            let shard_ids = List.init shards (fun s -> s) in
-            let per_shard =
-              match pool with
-              | Some pool ->
-                  Dvf_util.Parallel.Pool.map_list pool run_shard shard_ids
-              | None -> List.map run_shard shard_ids
-            in
-            let stats_list =
-              List.init levels (fun li ->
-                  Cachesim.Stats.sum
-                    (List.map (fun stats -> List.nth stats li) per_shard))
-            in
-            if Telemetry.enabled telemetry then
-              Telemetry.add telemetry
-                ~n:(sum_over_views views Memtrace.Tape.view_chunks_skipped)
-                "tape/chunks_skipped";
-            record_level_counters telemetry ~configs stats_list;
-            level_rows_of_stats ~registry:cap.registry cap.instance ~base
-              ~configs stats_list)
-          bases
-  in
-  let t0 = Telemetry.now_ns telemetry in
+  Memtrace.Tape.replay_hierarchies cap.tape (Array.of_list hierarchies);
+  List.concat
+    (List.map2
+       (fun base h ->
+         Cachesim.Hierarchy.flush h;
+         let configs = configs_of base in
+         let stats_list = hierarchy_level_stats h in
+         record_level_counters telemetry ~configs stats_list;
+         level_rows_of_stats ~registry:cap.registry cap.instance ~base ~configs
+           stats_list)
+       bases hierarchies)
+
+let run_all_levels ?jobs ?(telemetry = Telemetry.null) ?store ?workloads
+    ~levels () =
   let rows =
-    if jobs <= 1 then
-      List.concat_map
-        (fun workload ->
-          process (capture ~telemetry ?store (Workloads.verification_instance workload)))
-        workloads
-    else
-      Dvf_util.Parallel.with_pool ~telemetry ~jobs (fun pool ->
-          let captures =
-            Dvf_util.Parallel.Pool.map_list pool
-              (fun workload ->
-                capture ~telemetry ?store (Workloads.verification_instance workload))
-              workloads
-          in
-          match strategy with
-          | Sharded ->
-              (* Shard tasks are the parallel unit; captures process in
-                 order so telemetry counters accumulate deterministically. *)
-              List.concat_map (fun cap -> process ~pool cap) captures
-          | _ ->
-              List.concat
-                (Dvf_util.Parallel.Pool.map_list pool
-                   (fun cap -> process cap)
-                   captures))
+    sweep ?jobs ~telemetry ?store ?workloads
+      (capture_level_rows ~telemetry ~levels)
   in
-  if Telemetry.enabled telemetry then begin
+  if Telemetry.enabled telemetry then
     Telemetry.set_gauge telemetry "hierarchy/levels" (float_of_int levels);
-    Telemetry.time_ns telemetry "verify/total"
-      (Int64.sub (Telemetry.now_ns telemetry) t0)
-  end;
   finalize_metrics telemetry;
   rows
 
@@ -695,8 +366,7 @@ let to_level_table rows =
    logical event clock (Jaulmes et al.'s delayed-error-reporting
    argument).  The replay attaches a [Cachesim.Residency.t] to every
    level, the clock is the tape's event ordinal, and the horizon is the
-   tape length, so every integral is an exact integer and the sharded
-   strategy merges to the serial result bit for bit. *)
+   tape length, so every integral is an exact integer. *)
 
 type time_row = {
   t_workload : string;
@@ -774,156 +444,78 @@ let record_residency_counters telemetry snaps =
           "residency/evictions")
       snaps
 
-(* One timed walk of a capture through one hierarchy geometry: create,
-   attach one accumulator per level, replay, pin the clock to the
-   horizon, flush (closing every surviving line's phase at the horizon),
-   snapshot. *)
-let timed_replay_once ~bins ~configs cap =
-  let horizon = Memtrace.Tape.length cap.tape in
-  let h = Cachesim.Hierarchy.create configs in
-  let res =
-    Array.init (List.length configs) (fun _ ->
-        Cachesim.Residency.create ~bins ~horizon ())
-  in
-  Cachesim.Hierarchy.attach_residency h res;
-  Memtrace.Tape.replay_hierarchies cap.tape [| h |];
-  Cachesim.Hierarchy.set_now h horizon;
-  Cachesim.Hierarchy.flush h;
-  res
-
-let timed_level_snapshots ?(telemetry = Telemetry.null) ?pool
-    ?(strategy = Replay) ?(shards = 1) ?(bins = Cachesim.Residency.default_bins)
-    ~configs cap =
-  if strategy = Retrace then
-    invalid_arg
-      "Verify.timed_level_snapshots: the retrace strategy has no tape and \
-       therefore no logical clock; use replay, fused or sharded";
-  check_shard_count shards;
-  let shards = clamp_shards ~configs shards in
+(* One timed walk of a capture: every hierarchy geometry in
+   [configs_list] gets one accumulator per level, one fused walk of the
+   tape drives them all, then each hierarchy's clock is pinned to the
+   horizon and it is flushed (closing every surviving line's phase at
+   the horizon).  Returns one snapshot per level, per geometry. *)
+let timed_snapshots ~telemetry ~bins configs_list cap =
   if bins <= 0 then
     invalid_arg "Verify.timed_level_snapshots: bins must be positive";
+  let horizon = Memtrace.Tape.length cap.tape in
   let t0 = Telemetry.now_ns telemetry in
-  let residencies =
-    match strategy with
-    | Retrace -> assert false (* rejected above *)
-    | Replay | Fused ->
-        (* Fused gains nothing here (residency walks are generic), so
-           both strategies take the same single-walk path — which is
-           what makes cross-strategy bit-identity trivial to assert. *)
-        Array.to_list (timed_replay_once ~bins ~configs cap)
-    | Sharded ->
-        let horizon = Memtrace.Tape.length cap.tape in
-        let run_shard shard =
-          let h = Cachesim.Hierarchy.create configs in
-          let res =
-            Array.init (List.length configs) (fun _ ->
-                Cachesim.Residency.create ~bins ~horizon ())
-          in
-          Cachesim.Hierarchy.attach_residency h res;
-          Memtrace.Tape.replay_hierarchies_sharded cap.tape [| h |] ~shards
-            ~shard;
-          Cachesim.Hierarchy.set_now h horizon;
-          Cachesim.Hierarchy.flush h;
-          res
+  let timed =
+    List.map
+      (fun configs ->
+        let h = Cachesim.Hierarchy.create configs in
+        let res =
+          List.map
+            (fun _ -> Cachesim.Residency.create ~bins ~horizon ())
+            configs
         in
-        let shard_ids = List.init shards (fun s -> s) in
-        let per_shard =
-          match pool with
-          | Some pool -> Dvf_util.Parallel.Pool.map_list pool run_shard shard_ids
-          | None -> List.map run_shard shard_ids
-        in
-        List.init (List.length configs) (fun li ->
-            Cachesim.Residency.sum
-              (List.map (fun res -> res.(li)) per_shard))
+        Cachesim.Hierarchy.attach_residency h (Array.of_list res);
+        (h, res))
+      configs_list
   in
-  let snaps = List.map Cachesim.Residency.snapshot residencies in
+  Memtrace.Tape.replay_hierarchies cap.tape
+    (Array.of_list (List.map fst timed));
+  let snaps =
+    List.map
+      (fun (h, res) ->
+        Cachesim.Hierarchy.set_now h horizon;
+        Cachesim.Hierarchy.flush h;
+        List.map Cachesim.Residency.snapshot res)
+      timed
+  in
   if Telemetry.enabled telemetry then begin
-    Telemetry.add telemetry ~n:(Memtrace.Tape.length cap.tape)
+    Telemetry.add telemetry
+      ~n:(List.length configs_list * horizon)
       "tape/timed_replay_events";
     Telemetry.time_ns telemetry "verify/timed_total"
       (Int64.sub (Telemetry.now_ns telemetry) t0)
   end;
-  record_residency_counters telemetry snaps;
+  List.iter (record_residency_counters telemetry) snaps;
   snaps
+
+let timed_level_snapshots ?(telemetry = Telemetry.null)
+    ?(bins = Cachesim.Residency.default_bins) ~configs cap =
+  List.hd (timed_snapshots ~telemetry ~bins [ configs ] cap)
 
 (* One capture's time-weighted rows over every verification base
    geometry — the per-workload unit of work in [run_all_timed] and the
    whole job for a [Serve] timed request. *)
-let capture_time_rows ?(telemetry = Telemetry.null) ?pool ?strategy ?shards
-    ?bins ~levels cap =
-  List.concat_map
-    (fun base ->
-      let configs = Cachesim.Config.hierarchy_of ~levels base in
-      let snaps =
-        timed_level_snapshots ~telemetry ?pool ?strategy ?shards ?bins ~configs
-          cap
-      in
-      time_rows_of_snaps ~registry:cap.registry cap.instance ~base ~configs
-        snaps)
-    Cachesim.Config.verification_set
+let capture_time_rows ?(telemetry = Telemetry.null)
+    ?(bins = Cachesim.Residency.default_bins) ~levels cap =
+  let bases = Cachesim.Config.verification_set in
+  let configs_list =
+    List.map (fun base -> Cachesim.Config.hierarchy_of ~levels base) bases
+  in
+  List.concat
+    (List.map2
+       (fun (base, configs) snaps ->
+         time_rows_of_snaps ~registry:cap.registry cap.instance ~base ~configs
+           snaps)
+       (List.combine bases configs_list)
+       (timed_snapshots ~telemetry ~bins configs_list cap))
 
-let run_all_timed ?jobs ?(telemetry = Telemetry.null) ?(strategy = Replay)
-    ?shards ?store ?workloads ?(levels = 1)
-    ?(bins = Cachesim.Residency.default_bins) () =
-  if strategy = Retrace then
-    invalid_arg
-      "Verify.run_all_timed: the retrace strategy has no tape and therefore \
-       no logical clock; use replay, fused or sharded";
-  let workloads =
-    match workloads with Some ws -> ws | None -> Workloads.all ()
-  in
-  let jobs =
-    match jobs with
-    | Some j -> j
-    | None -> Dvf_util.Parallel.recommended_jobs ()
-  in
-  let shards =
-    match shards with
-    | Some s ->
-        check_shard_count s;
-        s
-    | None -> pow2_floor (max 1 jobs)
-  in
-  let shards = match strategy with Sharded -> shards | _ -> 1 in
-  let t0 = Telemetry.now_ns telemetry in
+let run_all_timed ?jobs ?(telemetry = Telemetry.null) ?store ?workloads
+    ?(levels = 1) ?(bins = Cachesim.Residency.default_bins) () =
   let rows =
-    if jobs <= 1 then
-      List.concat_map
-        (fun workload ->
-          capture_time_rows ~telemetry ~strategy ~shards ~bins ~levels
-            (capture ~telemetry ?store (Workloads.verification_instance workload)))
-        workloads
-    else
-      Dvf_util.Parallel.with_pool ~telemetry ~jobs (fun pool ->
-          let captures =
-            Dvf_util.Parallel.Pool.map_list pool
-              (fun workload ->
-                capture ~telemetry ?store
-                  (Workloads.verification_instance workload))
-              workloads
-          in
-          match strategy with
-          | Sharded ->
-              (* Shard tasks are the parallel unit; captures process in
-                 order so telemetry counters accumulate deterministically. *)
-              List.concat_map
-                (fun cap ->
-                  capture_time_rows ~telemetry ~pool ~strategy ~shards ~bins
-                    ~levels cap)
-                captures
-          | _ ->
-              List.concat
-                (Dvf_util.Parallel.Pool.map_list pool
-                   (fun cap ->
-                     capture_time_rows ~telemetry ~strategy ~shards ~bins
-                       ~levels cap)
-                   captures))
+    sweep ?jobs ~telemetry ?store ?workloads
+      (capture_time_rows ~telemetry ~bins ~levels)
   in
-  if Telemetry.enabled telemetry then begin
+  if Telemetry.enabled telemetry then
     Telemetry.set_gauge telemetry "residency/bins" (float_of_int bins);
-    Telemetry.time_ns telemetry "verify/total"
-      (Int64.sub (Telemetry.now_ns telemetry) t0)
-  end;
   finalize_metrics telemetry;
   rows
 

@@ -50,8 +50,6 @@ type report = {
 val run :
   ?jobs:int ->
   ?telemetry:Dvf_util.Telemetry.t ->
-  ?strategy:Verify.strategy ->
-  ?shards:int ->
   ?store:Memtrace.Tape_store.t ->
   ?seed:int ->
   ?trials:int ->
@@ -62,8 +60,7 @@ val run :
     defaults to {!Injection.default_seed}, [trials] to each injector's
     default, [bins] to {!Cachesim.Residency.default_bins}; captures go
     through [store] when given (same key as `dvf verify`).  Raises
-    [Invalid_argument] for the retrace strategy (no tape, no logical
-    clock) or [bins <= 0]. *)
+    [Invalid_argument] on [bins <= 0]. *)
 
 val to_table : report -> Dvf_util.Table.t
 (** One row per (workload, structure, window). *)

@@ -5,39 +5,21 @@
    capture never churns the minor collector) and are only ever appended
    to, which keeps [append] at two stores and an increment.
 
-   Each chunk additionally carries a partition index, maintained at
-   capture time: a coverage bitmap over [partition_buckets] buckets of
-   the event's granule-line number ([addr lsr granule_shift], 8-byte
-   granules) plus the min/max granule line the chunk touches.  The
-   set-sharded walks consult it to skip whole chunks that cannot contain
-   any line of the requested shard — see [bucket_mask] for why the
-   bitmap can answer that question for any cache whose line size is a
-   multiple of the granule.
-
-   Chunks may also be deferred: a loaded tape ([Tape_io] v2) adopts
-   chunks as (length, index, decode closure) triples over an mmap'd
-   payload and only materializes the [int] arrays when a walk actually
-   needs them — a chunk skipped by every shard is never decoded at all.
+   Chunks may also be deferred: a loaded tape ([Tape_io]) adopts chunks
+   as (length, decode closure) pairs over an mmap'd payload and only
+   materializes the [int] arrays when a walk actually needs them.
    Materialization is idempotent and lock-free ([Atomic]
-   compare-and-set), so concurrent shard domains may race to decode the
-   same chunk and simply agree on one winner. *)
-
-type index = {
-  coverage : int array; (* [coverage_words] words of [coverage_bits] bits *)
-  mutable min_line : int; (* granule lines; [max_int] while empty *)
-  mutable max_line : int; (* -1 while empty *)
-}
+   compare-and-set), so concurrent domains replaying one tape may race
+   to decode the same chunk and simply agree on one winner. *)
 
 type chunk = {
   addrs : int array;
   metas : int array;
   mutable len : int;
-  index : index;
 }
 
 type deferred = {
   d_len : int;
-  d_index : index;
   d_cell : chunk option Atomic.t;
   d_decode : unit -> int array * int array;
 }
@@ -55,42 +37,8 @@ type t = {
 let default_chunk_events = 65536
 let bytes_per_event = 2 * (Sys.word_size / 8)
 
-(* {2 Partition index} *)
-
-let granule_shift = 3 (* 8-byte granules: no config has a smaller line *)
-let coverage_words = 8
-let coverage_bits = 32
-let partition_buckets = coverage_words * coverage_bits (* 256 *)
-let bucket_bits = 8 (* log2 partition_buckets *)
-let full_word = (1 lsl coverage_bits) - 1
-
-let fresh_index () =
-  { coverage = Array.make coverage_words 0; min_line = max_int; max_line = -1 }
-
-(* Record one event's granule footprint.  [size] is in bytes; events
-   spanning [>= partition_buckets] granules (>= 2 KiB) saturate the
-   bitmap rather than looping. *)
-let index_note idx ~addr ~size =
-  let first = addr lsr granule_shift in
-  let last = (addr + size - 1) lsr granule_shift in
-  if first < idx.min_line then idx.min_line <- first;
-  if last > idx.max_line then idx.max_line <- last;
-  if last - first >= partition_buckets then
-    Array.fill idx.coverage 0 coverage_words full_word
-  else
-    for g = first to last do
-      let b = g land (partition_buckets - 1) in
-      Array.unsafe_set idx.coverage (b lsr 5)
-        (Array.unsafe_get idx.coverage (b lsr 5) lor (1 lsl (b land 31)))
-    done
-
 let fresh_chunk capacity =
-  {
-    addrs = Array.make capacity 0;
-    metas = Array.make capacity 0;
-    len = 0;
-    index = fresh_index ();
-  }
+  { addrs = Array.make capacity 0; metas = Array.make capacity 0; len = 0 }
 
 let create ?(chunk_events = default_chunk_events) () =
   if chunk_events <= 0 then
@@ -127,7 +75,6 @@ let append t (e : Event.t) =
   c.metas.(c.len) <-
     Cachesim.Cache.pack_access ~owner:e.owner ~write:e.write ~size:e.size;
   c.len <- c.len + 1;
-  index_note c.index ~addr:e.addr ~size:e.size;
   t.total <- t.total + 1
 
 (* Packed layout mirrored from [Cachesim.Cache.pack_access]; the shift is
@@ -177,8 +124,7 @@ let append_batch t events n =
       Array.unsafe_set c.metas (c.len + k)
         ((e.owner lsl meta_owner_shift)
         lor (e.size lsl 1)
-        lor (if e.write then 1 else 0));
-      index_note c.index ~addr:e.addr ~size:e.size
+        lor (if e.write then 1 else 0))
     done;
     c.len <- c.len + run;
     i := !i + run
@@ -190,8 +136,16 @@ let batch_sink t : Recorder.batch_sink = fun events n -> append_batch t events n
 
 (* {2 Entries: materialization} *)
 
-let entry_len = function Ready c -> c.len | Deferred d -> d.d_len
-let entry_index = function Ready c -> c.index | Deferred d -> d.d_index
+let check_decoded t ~addrs ~metas =
+  if
+    Array.length addrs <> t.chunk_capacity
+    || Array.length metas <> t.chunk_capacity
+  then
+    invalid_arg
+      (Printf.sprintf
+         "Tape: deferred chunk decoder returned %d/%d-word arrays (chunk \
+          capacity %d)"
+         (Array.length addrs) (Array.length metas) t.chunk_capacity)
 
 (* Decode a deferred chunk; on a CAS race the loser adopts the winner's
    arrays (both decoded the same mapped words, so either result is
@@ -201,32 +155,22 @@ let force t = function
   | Deferred d -> (
       match Atomic.get d.d_cell with
       | Some c -> c
-      | None ->
+      | None -> (
           let addrs, metas = d.d_decode () in
-          if
-            Array.length addrs <> t.chunk_capacity
-            || Array.length metas <> t.chunk_capacity
-          then
-            invalid_arg
-              (Printf.sprintf
-                 "Tape: deferred chunk decoder returned %d/%d-word arrays \
-                  (chunk capacity %d)"
-                 (Array.length addrs) (Array.length metas) t.chunk_capacity);
-          let c = { addrs; metas; len = d.d_len; index = d.d_index } in
+          check_decoded t ~addrs ~metas;
+          let c = { addrs; metas; len = d.d_len } in
           if Atomic.compare_and_set d.d_cell None (Some c) then c
           else
-            (match Atomic.get d.d_cell with
-            | Some c -> c
-            | None -> assert false))
+            match Atomic.get d.d_cell with Some c -> c | None -> assert false))
 
 let materialize t = List.iter (fun e -> ignore (force t e)) t.filled
 
 (* Chunks in capture order: [filled] is most-recent-first, then the
    partial head (skipped when empty, so replay never dispatches an empty
-   batch).  Every walk over the tape — replay in all its variants, raw
-   iteration, decoding, and [Tape_io.save] — goes through this one fold,
-   handing out the chunk arrays themselves (no copying, no decoding a
-   chunk more than once). *)
+   batch).  Every walk over the tape — replay, raw iteration, decoding,
+   and [Tape_io.save] — goes through this one fold, handing out the
+   chunk arrays themselves (no copying, no decoding a chunk more than
+   once). *)
 let fold_chunks t ~init ~f =
   let acc =
     List.fold_left
@@ -242,29 +186,9 @@ let fold_chunks t ~init ~f =
 let iter_raw t f =
   fold_chunks t ~init:() ~f:(fun () ~addrs ~metas ~len -> f ~addrs ~metas ~len)
 
-type chunk_info = {
-  ci_len : int;
-  ci_coverage : int array;
-  ci_min_line : int;
-  ci_max_line : int;
-}
+(* {2 Chunk adoption (the [Tape_io] load path)} *)
 
-let chunk_infos t =
-  let info e =
-    let idx = entry_index e in
-    {
-      ci_len = entry_len e;
-      ci_coverage = Array.copy idx.coverage;
-      ci_min_line = idx.min_line;
-      ci_max_line = idx.max_line;
-    }
-  in
-  let infos = List.rev_map info t.filled in
-  if t.head.len > 0 then infos @ [ info (Ready t.head) ] else infos
-
-(* {2 Chunk adoption (the [Tape_io] load paths)} *)
-
-let check_adoptable t ~len =
+let append_deferred_chunk t ~len ~decode =
   if len < 0 || len > t.chunk_capacity then
     invalid_arg
       (Printf.sprintf "Tape: bad adopted chunk length %d (capacity %d)" len
@@ -272,69 +196,11 @@ let check_adoptable t ~len =
   if t.head.len > 0 then
     invalid_arg
       "Tape: tape ends in a partial chunk; adopted chunks can only follow \
-       full ones"
-
-(* Size field of a packed meta word, without the tuple allocation of
-   [unpack_access]. *)
-let meta_size m = (m lsr 1) land Cachesim.Cache.max_size
-
-let index_of_words ~addrs ~metas ~len =
-  let idx = fresh_index () in
-  for i = 0 to len - 1 do
-    index_note idx ~addr:(Array.unsafe_get addrs i)
-      ~size:(meta_size (Array.unsafe_get metas i))
-  done;
-  idx
-
-(* Adopt a whole pre-built chunk (the [Tape_io] v1 streaming path: words
-   straight off disk, no per-event re-validation — the file's checksum
-   already vouches for them).  The partition index is recomputed here;
-   the v2 format stores it and adopts via [append_deferred_chunk]. *)
-let append_raw_chunk t ~addrs ~metas ~len =
-  if Array.length addrs <> t.chunk_capacity
-     || Array.length metas <> t.chunk_capacity then
-    invalid_arg
-      (Printf.sprintf
-         "Tape.append_raw_chunk: arrays must hold chunk_events=%d words \
-          (got %d/%d)"
-         t.chunk_capacity (Array.length addrs) (Array.length metas));
-  check_adoptable t ~len;
-  if len = 0 then ()
-  else begin
-    let c = { addrs; metas; len; index = index_of_words ~addrs ~metas ~len } in
-    if len = t.chunk_capacity then begin
-      t.filled <- Ready c :: t.filled;
-      t.filled_count <- t.filled_count + 1
-    end
-    else t.head <- c;
-    t.total <- t.total + len
-  end
-
-let check_index ~coverage ~min_line ~max_line ~len =
-  if Array.length coverage <> coverage_words then
-    invalid_arg
-      (Printf.sprintf "Tape: adopted chunk index has %d coverage words (want %d)"
-         (Array.length coverage) coverage_words);
-  Array.iter
-    (fun w ->
-      if w < 0 || w > full_word then
-        invalid_arg "Tape: adopted chunk coverage word out of range")
-    coverage;
-  if len > 0 && (min_line < 0 || max_line < min_line) then
-    invalid_arg
-      (Printf.sprintf "Tape: adopted chunk line range [%d, %d] invalid"
-         min_line max_line)
-
-let append_deferred_chunk t ~len ~coverage ~min_line ~max_line ~decode =
-  check_adoptable t ~len;
-  check_index ~coverage ~min_line ~max_line ~len;
-  if len = 0 then ()
-  else begin
-    let index = { coverage = Array.copy coverage; min_line; max_line } in
+       full ones";
+  if len > 0 then begin
     if len = t.chunk_capacity then begin
       t.filled <-
-        Deferred { d_len = len; d_index = index; d_cell = Atomic.make None;
-                   d_decode = decode }
+        Deferred { d_len = len; d_cell = Atomic.make None; d_decode = decode }
         :: t.filled;
       t.filled_count <- t.filled_count + 1
     end
@@ -342,157 +208,17 @@ let append_deferred_chunk t ~len ~coverage ~min_line ~max_line ~decode =
       (* A partial chunk becomes the (mutable, appendable) head, so it is
          decoded eagerly; at most one per tape. *)
       let addrs, metas = decode () in
-      if
-        Array.length addrs <> t.chunk_capacity
-        || Array.length metas <> t.chunk_capacity
-      then
-        invalid_arg
-          "Tape.append_deferred_chunk: decoder returned arrays of the wrong \
-           capacity";
-      t.head <- { addrs; metas; len; index }
+      check_decoded t ~addrs ~metas;
+      t.head <- { addrs; metas; len }
     end;
     t.total <- t.total + len
   end
 
-(* {2 Shard selectors}
+(* {2 Replay}
 
-   [bucket_mask ~line_shift ~eff ~shard] answers: which coverage buckets
-   could an event occupy if it touches a cache line owned by [shard]
-   (i.e. [line land (eff - 1) = shard] for a cache whose lines are
-   [1 lsl line_shift] bytes)?  With [d = line_shift - granule_shift],
-   a granule [g] lies in cache line [g lsr d], and its bucket is
-   [g land (partition_buckets - 1)] — the low [bucket_bits] bits of
-   [g].  The shard condition constrains bits [d .. d + log2 eff - 1] of
-   [g]; when that bit range fits inside the recorded low [bucket_bits]
-   bits, membership is decidable from the bucket alone and the mask is
-   exact: a chunk whose coverage misses the mask contains no event
-   touching any of [shard]'s lines.  When it does not fit (a line
-   smaller than the granule, or [d + log2 eff > bucket_bits]) the bitmap
-   cannot restrict that consumer and the walk falls back to scanning
-   every chunk — never the other way around. *)
-
-type selector = Walk_all | Skip_all | Buckets of int array
-
-let log2_pow2 n =
-  let rec go acc n = if n <= 1 then acc else go (acc + 1) (n lsr 1) in
-  go 0 n
-
-let bucket_mask ~line_shift ~eff ~shard =
-  let d = line_shift - granule_shift in
-  if d < 0 || d + log2_pow2 eff > bucket_bits then None
-  else begin
-    let m = Array.make coverage_words 0 in
-    for b = 0 to partition_buckets - 1 do
-      if (b lsr d) land (eff - 1) = shard then
-        m.(b lsr 5) <- m.(b lsr 5) lor (1 lsl (b land 31))
-    done;
-    Some m
-  end
-
-(* Union of per-consumer masks.  [keys] lists (line_shift, eff) for every
-   consumer that actually owns sets of this shard; an empty list means no
-   consumer does and the whole walk is a no-op. *)
-let selector_union keys ~shard =
-  List.fold_left
-    (fun acc (line_shift, eff) ->
-      match acc with
-      | Walk_all -> Walk_all
-      | acc -> (
-          match bucket_mask ~line_shift ~eff ~shard with
-          | None -> Walk_all
-          | Some m -> (
-              match acc with
-              | Skip_all -> Buckets m
-              | Buckets m0 ->
-                  Buckets (Array.init coverage_words (fun i -> m0.(i) lor m.(i)))
-              | Walk_all -> assert false)))
-    Skip_all keys
-
-(* Chunk skipping must not break the logical event clock: a skipped
-   chunk's events never advance [Cache.now], which is unobservable
-   except under residency accounting — so any attached residency
-   accumulator forces the full walk. *)
-let cache_selector caches ~shards ~shard =
-  if Array.exists (fun c -> Cachesim.Cache.residency c <> None) caches then
-    Walk_all
-  else
-    selector_union ~shard
-      (Array.to_list caches
-      |> List.filter_map (fun c ->
-             let eff = Cachesim.Cache.effective_shards c ~shards in
-             if shard >= eff then None
-             else
-               Some
-                 ( log2_pow2 (Cachesim.Cache.config c).Cachesim.Config.line,
-                   eff )))
-
-let hierarchy_selector hierarchies ~shards ~shard =
-  let has_residency h =
-    let rec go i =
-      i < Cachesim.Hierarchy.depth h
-      && (Cachesim.Cache.residency (Cachesim.Hierarchy.level_cache h i) <> None
-         || go (i + 1))
-    in
-    go 0
-  in
-  if Array.exists has_residency hierarchies then Walk_all
-  else
-    selector_union ~shard
-      (Array.to_list hierarchies
-      |> List.filter_map (fun h ->
-             let eff = min shards (Cachesim.Hierarchy.max_shards h) in
-             if shard >= eff then None
-             else
-               let line =
-                 (List.hd (Cachesim.Hierarchy.configs h)).Cachesim.Config.line
-               in
-               Some (log2_pow2 line, eff)))
-
-let check_shards ~shards ~shard =
-  if shards <= 0 || shards land (shards - 1) <> 0 then
-    invalid_arg
-      (Printf.sprintf "Tape: shards must be a positive power of two (got %d)"
-         shards);
-  if shard < 0 || shard >= shards then
-    invalid_arg
-      (Printf.sprintf "Tape: shard %d out of range (0..%d)" shard (shards - 1))
-
-let index_intersects idx mask =
-  let rec go i =
-    i < coverage_words
-    && (Array.unsafe_get idx.coverage i land Array.unsafe_get mask i <> 0
-       || go (i + 1))
-  in
-  go 0
-
-let selected sel idx =
-  match sel with
-  | Walk_all -> true
-  | Skip_all -> false
-  | Buckets m -> index_intersects idx m
-
-(* Walk only the chunks [sel] cannot prove irrelevant, counting the
-   rest into [skipped]. *)
-let iter_selected t sel ?skipped f =
-  let skip () = match skipped with Some r -> incr r | None -> () in
-  List.iter
-    (fun e ->
-      if selected sel (entry_index e) then begin
-        let c = force t e in
-        f ~addrs:c.addrs ~metas:c.metas ~len:c.len
-      end
-      else skip ())
-    (List.rev t.filled);
-  if t.head.len > 0 then
-    if selected sel t.head.index then
-      f ~addrs:t.head.addrs ~metas:t.head.metas ~len:t.head.len
-    else skip ()
-
-(* {2 Replay} *)
-
-let replay t cache =
-  iter_raw t (fun ~addrs ~metas ~len ->
-      Cachesim.Cache.access_batch cache ~addrs ~metas ~pos:0 ~len)
+   One walk over the chunks, each chunk fed to every consumer before
+   moving on, so a multi-geometry run reads each chunk while it is
+   hot. *)
 
 let replay_fused t caches =
   iter_raw t (fun ~addrs ~metas ~len ->
@@ -501,133 +227,12 @@ let replay_fused t caches =
           Cachesim.Cache.access_batch cache ~addrs ~metas ~pos:0 ~len)
         caches)
 
-(* Set-sharded fused walk: one pass over the tape, each cache touched
-   only on [shard]'s lines.  Every cache clamps the shard count to its
-   own set count ([Cache.access_batch_sharded] skips shards beyond the
-   clamp), so heterogeneous sweep geometries neither drop nor duplicate
-   work.  Running all shards of [0 .. shards-1] — serially or on
-   separate domains over per-shard cache replicas — reproduces
-   [replay_fused]'s statistics bit for bit.  Chunks whose partition
-   index proves them disjoint from [shard]'s lines (for every cache) are
-   skipped without being walked — or, for deferred chunks, decoded. *)
-let replay_fused_sharded ?skipped t caches ~shards ~shard =
-  check_shards ~shards ~shard;
-  let sel = cache_selector caches ~shards ~shard in
-  iter_selected t sel ?skipped (fun ~addrs ~metas ~len ->
-      Array.iter
-        (fun cache ->
-          Cachesim.Cache.access_batch_sharded cache ~addrs ~metas ~pos:0 ~len
-            ~shards ~shard)
-        caches)
+let replay t cache = replay_fused t [| cache |]
 
 let replay_hierarchies t hierarchies =
   iter_raw t (fun ~addrs ~metas ~len ->
       Array.iter
-        (fun h ->
-          Cachesim.Hierarchy.access_batch h ~addrs ~metas ~pos:0 ~len)
-        hierarchies)
-
-let replay_hierarchies_sharded ?skipped t hierarchies ~shards ~shard =
-  check_shards ~shards ~shard;
-  let sel = hierarchy_selector hierarchies ~shards ~shard in
-  iter_selected t sel ?skipped (fun ~addrs ~metas ~len ->
-      Array.iter
-        (fun h ->
-          Cachesim.Hierarchy.access_batch_sharded h ~addrs ~metas ~pos:0 ~len
-            ~shards ~shard)
-        hierarchies)
-
-(* {2 Pre-partitioned views} *)
-
-type view = {
-  v_tape : t;
-  v_shards : int;
-  v_shard : int;
-  v_selector : selector;
-  v_entries : entry list; (* selected chunks, capture order, head included *)
-  v_events : int;
-  v_skipped : int;
-}
-
-let view_shard v = v.v_shard
-let view_shards v = v.v_shards
-let view_chunks v = List.length v.v_entries
-let view_events v = v.v_events
-let view_chunks_skipped v = v.v_skipped
-
-let partition_with t ~shards ~selector_of =
-  if shards <= 0 || shards land (shards - 1) <> 0 then
-    invalid_arg
-      (Printf.sprintf
-         "Tape.partition: shards must be a positive power of two (got %d)"
-         shards);
-  let all_entries =
-    List.rev
-      (if t.head.len > 0 then Ready t.head :: t.filled else t.filled)
-  in
-  Array.init shards (fun shard ->
-      let sel = selector_of ~shard in
-      let entries, events, skipped =
-        List.fold_left
-          (fun (es, ev, sk) e ->
-            if selected sel (entry_index e) then
-              (e :: es, ev + entry_len e, sk)
-            else (es, ev, sk + 1))
-          ([], 0, 0) all_entries
-      in
-      {
-        v_tape = t;
-        v_shards = shards;
-        v_shard = shard;
-        v_selector = sel;
-        v_entries = List.rev entries;
-        v_events = events;
-        v_skipped = skipped;
-      })
-
-let partition t caches ~shards =
-  partition_with t ~shards ~selector_of:(fun ~shard ->
-      cache_selector caches ~shards ~shard)
-
-let partition_hierarchies t hierarchies ~shards =
-  partition_with t ~shards ~selector_of:(fun ~shard ->
-      hierarchy_selector hierarchies ~shards ~shard)
-
-(* A view's chunk selection is only sound for consumers with the same
-   partition key the view was built from, so the replays recompute the
-   selector from the consumers they are handed and refuse a mismatch
-   (different geometry, or a residency accumulator that appeared since
-   [partition]) instead of silently dropping events. *)
-let check_view_selector v sel =
-  if sel <> v.v_selector then
-    invalid_arg
-      "Tape.replay_view: consumers do not match the ones this view was \
-       partitioned for (geometry or residency accounting changed)"
-
-let iter_view v f =
-  List.iter
-    (fun e ->
-      let c = force v.v_tape e in
-      f ~addrs:c.addrs ~metas:c.metas ~len:c.len)
-    v.v_entries
-
-let replay_view v caches =
-  check_view_selector v (cache_selector caches ~shards:v.v_shards ~shard:v.v_shard);
-  iter_view v (fun ~addrs ~metas ~len ->
-      Array.iter
-        (fun cache ->
-          Cachesim.Cache.access_batch_sharded cache ~addrs ~metas ~pos:0 ~len
-            ~shards:v.v_shards ~shard:v.v_shard)
-        caches)
-
-let replay_view_hierarchies v hierarchies =
-  check_view_selector v
-    (hierarchy_selector hierarchies ~shards:v.v_shards ~shard:v.v_shard);
-  iter_view v (fun ~addrs ~metas ~len ->
-      Array.iter
-        (fun h ->
-          Cachesim.Hierarchy.access_batch_sharded h ~addrs ~metas ~pos:0 ~len
-            ~shards:v.v_shards ~shard:v.v_shard)
+        (fun h -> Cachesim.Hierarchy.access_batch h ~addrs ~metas ~pos:0 ~len)
         hierarchies)
 
 let iter t f =

@@ -16,22 +16,11 @@
     drives several caches from a single chunk walk so a multi-geometry
     sweep reads each chunk once while it is hot.
 
-    Every chunk carries a {e partition index}, maintained at capture
-    time: a coverage bitmap over {!partition_buckets} buckets of the
-    granule-line number ([addr lsr granule_shift]) plus the chunk's
-    min/max granule line.  The sharded walks use it to skip whole chunks
-    that provably contain no line of the requested shard, and
-    {!partition} builds per-shard chunk lists up front so each shard
-    domain walks only its slice — in both cases bit-identical to the
-    full scan, because a skipped chunk would not have changed the
-    shard's sets.
-
-    Chunks may be {e deferred}: {!Tape_io} v2 loads adopt chunks as
-    (length, index, decode) triples over an mmap'd payload
+    Chunks may be {e deferred}: {!Tape_io} loads adopt chunks as
+    (length, decode) pairs over an mmap'd payload
     ({!append_deferred_chunk}) and the [int] arrays are only
     materialized when a walk first needs them — lock-free and
-    idempotent, so concurrent shard domains may force the same chunk
-    safely, and a chunk every shard skips is never decoded at all.
+    idempotent, so concurrent replays may force the same chunk safely.
 
     Tapes are single-domain values: capture on one domain, then hand the
     (immutable-from-then-on) tape to replay jobs freely — concurrent
@@ -69,101 +58,18 @@ val batch_sink : t -> Recorder.batch_sink
 
 (** {2 Replay} *)
 
-val replay : t -> Cachesim.Cache.t -> unit
-(** Stream the captured events, in capture order, into [cache] via
-    {!Cachesim.Cache.access_batch}.  Statistics afterwards are
-    bit-identical to having traced the workload directly into the
-    cache. *)
-
 val replay_fused : t -> Cachesim.Cache.t array -> unit
 (** One pass over the tape driving every cache: for each chunk, replay
-    it into each cache before moving on.  Per-cache results equal
-    [Array.iter (replay t) caches]; the fused walk reads each chunk from
-    memory once instead of once per cache. *)
+    it into each cache (via {!Cachesim.Cache.access_batch}) before
+    moving on.  Per-cache statistics are bit-identical to having traced
+    the workload directly into each cache. *)
 
-val replay_fused_sharded :
-  ?skipped:int ref ->
-  t -> Cachesim.Cache.t array -> shards:int -> shard:int -> unit
-(** {!replay_fused} restricted to the cache lines owned by [shard] of
-    [shards] (see {!Cachesim.Cache.access_batch_sharded}).  Each cache
-    clamps [shards] to its own set count, so heterogeneous geometries
-    neither drop nor duplicate lines.  Replaying every shard — in any
-    order, or concurrently over per-shard cache replicas whose
-    statistics are merged afterwards — is bit-identical to
-    {!replay_fused}.
-
-    Chunks whose partition index proves them disjoint from [shard]'s
-    lines in every cache are skipped without being walked or (for
-    deferred chunks) decoded; [skipped] is incremented once per skipped
-    chunk.  Skipping never fires when any cache has a residency
-    accumulator attached (the logical clock must then advance over every
-    event), so timed replays remain exact.  Raises [Invalid_argument]
-    unless [shards] is a positive power of two and
-    [0 <= shard < shards]. *)
+val replay : t -> Cachesim.Cache.t -> unit
+(** [replay t c] is [replay_fused t [| c |]]. *)
 
 val replay_hierarchies : t -> Cachesim.Hierarchy.t array -> unit
 (** Fused walk over multi-level hierarchies: for each chunk, feed it to
     each hierarchy's L1 before moving on. *)
-
-val replay_hierarchies_sharded :
-  ?skipped:int ref ->
-  t -> Cachesim.Hierarchy.t array -> shards:int -> shard:int -> unit
-(** Sharded fused walk over hierarchies (see
-    {!Cachesim.Hierarchy.access_batch_sharded}), with the same
-    index-driven chunk skipping (keyed on each hierarchy's L1 line size
-    and effective shard count) and the same residency opt-out as
-    {!replay_fused_sharded}. *)
-
-(** {2 Pre-partitioned views}
-
-    {!partition} evaluates the per-chunk shard test once, up front, and
-    hands each shard the list of chunks it must walk — so [N] shard
-    domains each traverse only their slice instead of re-testing (or
-    rescanning) the whole tape, and a chunk no shard selects is never
-    materialized.  The tape must not be appended to while views are
-    alive (the usual replay contract). *)
-
-type view
-(** One shard's slice of a tape: the chunks whose partition index
-    intersects the shard's bucket mask, in capture order. *)
-
-val partition : t -> Cachesim.Cache.t array -> shards:int -> view array
-(** [partition t caches ~shards] builds one view per shard for a fused
-    sharded replay over [caches]; {!replay_view} of view [s] is
-    bit-identical to [replay_fused_sharded t caches ~shards ~shard:s].
-    The views are keyed on the caches' geometry (line size, effective
-    shard count): hand {!replay_view} replicas of the same
-    configurations.  Raises [Invalid_argument] unless [shards] is a
-    positive power of two. *)
-
-val partition_hierarchies :
-  t -> Cachesim.Hierarchy.t array -> shards:int -> view array
-(** {!partition} keyed on hierarchies (L1 line size, hierarchy-wide
-    effective shard count) for {!replay_view_hierarchies}. *)
-
-val replay_view : view -> Cachesim.Cache.t array -> unit
-(** Walk one view's chunks into [caches] via
-    {!Cachesim.Cache.access_batch_sharded}.  [caches] must be replicas
-    of the configurations the view was partitioned for (same geometry,
-    no residency attached) — the selector is recomputed and a mismatch
-    raises [Invalid_argument] instead of silently dropping events. *)
-
-val replay_view_hierarchies : view -> Cachesim.Hierarchy.t array -> unit
-(** {!replay_view} over hierarchy replicas. *)
-
-val view_shard : view -> int
-val view_shards : view -> int
-
-val view_chunks : view -> int
-(** Chunks this view walks. *)
-
-val view_events : view -> int
-(** Events in the view's chunks (an upper bound on the events the shard
-    actually simulates — chunks are skipped whole, events within a
-    selected chunk are still filtered per set). *)
-
-val view_chunks_skipped : view -> int
-(** Chunks the partition index excluded for this shard. *)
 
 (** {2 Inspection} *)
 
@@ -184,31 +90,6 @@ val allocated_bytes : t -> int
     chunk at full capacity — [allocated_bytes t / max 1 (length t)]
     is the real amortized footprint per event). *)
 
-val granule_shift : int
-(** The partition index records granule lines: [addr lsr granule_shift]
-    (8-byte granules — no cache configuration has a smaller line). *)
-
-val partition_buckets : int
-(** Buckets in a chunk's coverage bitmap: a granule line [g] sets bucket
-    [g land (partition_buckets - 1)]. *)
-
-val coverage_words : int
-(** Words the coverage bitmap is stored in ({!partition_buckets} /
-    32 bits each) — the shape {!chunk_infos} returns and
-    {!append_deferred_chunk} expects. *)
-
-type chunk_info = {
-  ci_len : int;  (** events in the chunk *)
-  ci_coverage : int array;  (** {!coverage_words} words, 32 live bits each *)
-  ci_min_line : int;  (** smallest granule line touched ([max_int] if none) *)
-  ci_max_line : int;  (** largest granule line touched ([-1] if none) *)
-}
-
-val chunk_infos : t -> chunk_info list
-(** Per-chunk partition indexes in capture order, without materializing
-    deferred chunks — what {!Tape_io} serializes and [dvf tape info]
-    summarizes.  The coverage arrays are fresh copies. *)
-
 val fold_chunks :
   t ->
   init:'a ->
@@ -217,7 +98,7 @@ val fold_chunks :
 (** Fold over the raw columnar chunks in capture order, without decoding
     or copying — indices [0 .. len-1] of [addrs]/[metas] are live.  The
     arrays are the tape's own storage: callers must not mutate them.
-    Every tape walk (all the [replay*] variants, {!iter_raw}, {!iter},
+    Every tape walk (the [replay*] functions, {!iter_raw}, {!iter},
     and {!Tape_io.save}) is built on this single fold.  Deferred chunks
     are materialized as the fold reaches them. *)
 
@@ -231,40 +112,20 @@ val iter_raw :
 (** Visit the raw columnar chunks in capture order, without decoding —
     indices [0 .. len-1] of [addrs]/[metas] are live.  The arrays are
     the tape's own storage: callers must not mutate them.  This is the
-    hook for custom replay kernels (the bench harness' sharded scaling
-    measurements). *)
-
-val append_raw_chunk : t -> addrs:int array -> metas:int array -> len:int -> unit
-(** Adopt a whole pre-built chunk without per-event validation — the
-    {!Tape_io} v1 streaming load path, where the file checksum already
-    vouches for the words.  [addrs] and [metas] must both be exactly
-    [chunk_events t] long (the tape takes ownership of the arrays; the
-    caller must not reuse them) and the tape must currently end on a
-    chunk boundary, i.e. only full chunks may have been appended before
-    — a full chunk ([len = chunk_events t]) is retired into the filled
-    list, a partial one becomes the head.  The partition index is
-    recomputed from the words.  Raises [Invalid_argument] on wrong array
-    lengths, a length outside [0 .. chunk_events t], or a tape whose
-    head is already partially filled. *)
+    hook for custom replay kernels. *)
 
 val append_deferred_chunk :
-  t ->
-  len:int ->
-  coverage:int array ->
-  min_line:int ->
-  max_line:int ->
-  decode:(unit -> int array * int array) ->
-  unit
-(** Adopt a chunk lazily — the {!Tape_io} v2 mmap load path: the
-    partition index comes from the file's chunk table and [decode]
+  t -> len:int -> decode:(unit -> int array * int array) -> unit
+(** Adopt a chunk lazily — the {!Tape_io} mmap load path: [decode]
     materializes the (exactly [chunk_events t]-long) addr/meta arrays
     from the mapped payload on first use.  [decode] must be pure and
     safe to call from any domain (it may be called more than once under
-    a materialization race; one result wins).  A partial chunk
-    ([len < chunk_events t]) is decoded eagerly and becomes the head.
-    Boundary rules and raises as {!append_raw_chunk}, plus
-    [Invalid_argument] on a malformed index ([coverage] not
-    {!coverage_words} words of 32 bits, or an invalid line range). *)
+    a materialization race; one result wins).  A full chunk
+    ([len = chunk_events t]) is retired into the filled list; a partial
+    one is decoded eagerly and becomes the head.  The tape must
+    currently end on a chunk boundary.  Raises [Invalid_argument] on a
+    length outside [0 .. chunk_events t], a tape whose head is already
+    partially filled, or decoded arrays of the wrong length. *)
 
 val iter : t -> (Event.t -> unit) -> unit
 (** Decode and visit every event in capture order. *)

@@ -1,9 +1,9 @@
 (* Binary on-disk tape format.  All multi-byte fields are little-endian
-   and fixed-width.  Version 2 (written by [save]):
+   and fixed-width.  Version 3 (written by [save]):
 
      offset  size  field
      0       8     magic "dvftape\n"
-     8       4     u32 format version (= 2)
+     8       4     u32 format version (= 3)
      12      4     u32 chunk capacity in events
      16      8     i64 total event count
      24      8     i64 payload checksum (see below)
@@ -11,46 +11,37 @@
      ...     ...   region table: u32 page, u32 stagger, u32 count,
                    then per region: u32 id, str name, i64 base,
                    i64 bytes, u32 elem_size
-     ...     ...   chunk table: u32 chunk count, then per chunk:
-                   u32 len, 8 x u32 coverage bitmap words,
-                   i64 min granule line, i64 max granule line;
-                   then i64 index checksum over the table entries
+     ...     8     i64 header checksum over every byte above
      ...     ...   u32 pad length, then that many zero bytes, sized so
                    the payload starts 8-byte-aligned in the file
      ...     ...   payload, chunks in capture order:
-                   len x i64 addrs, len x i64 metas (no length prefix —
-                   lengths live in the chunk table)
+                   len x i64 addrs, len x i64 metas
 
    where [str] is a u32 byte length followed by the raw bytes.  Every
-   chunk is full except possibly the last (the tape invariant), and the
-   loader enforces exactly that, so the chunk count is implied by the
-   event count.  The payload checksum is an FNV-1a-shaped mix over the
-   event words in capture order (addr then meta per event), computed
-   with native 63-bit integer arithmetic — deterministic on any 64-bit
-   platform, which the 16 B/event format already assumes; its
-   definition (and therefore the stored value for identical events) is
-   unchanged from version 1.  The chunk table gets its own checksum so
-   the partition index — which decides which chunks a sharded walk may
-   skip — is vouched for at load time, before any chunk is adopted.
+   chunk is full except possibly the last (the tape invariant), so the
+   chunk lengths are implied by the capacity and the event count, and
+   the file size by the payload offset and the event count.  The
+   payload checksum is an FNV-1a-shaped mix over the event words in
+   capture order (addr then meta per event), computed with native
+   63-bit integer arithmetic — deterministic on any 64-bit platform,
+   which the 16 B/event format already assumes.  The header checksum
+   (the same mix over the header bytes) vouches for the capacity, the
+   event count, the provenance and the region layout, so a damaged
+   header is rejected rather than adopted.
 
-   Version 2 loads map the (8-byte-aligned, exactly-sized) payload with
-   [Unix.map_file] and adopt chunks through
-   [Tape.append_deferred_chunk]: the payload checksum is verified over
-   the mapping up front — corrupt or truncated files are rejected
-   before a single chunk is adopted — and the per-chunk addr/meta [int]
-   arrays are only decoded out of the mapping when a walk first touches
-   the chunk, so a load is O(header + checksum scan) and chunks every
-   shard skips are never decoded at all.  On a big-endian host, or when
-   the file cannot be mapped (exotic filesystems), the payload is
-   streamed and decoded eagerly instead — same validation, same tape.
-
-   Version 1 files (no chunk table; payload chunks carry a u32 length
-   prefix) still load through the original streaming path, with the
-   partition index recomputed by [Tape.append_raw_chunk]. *)
+   Loads map the (8-byte-aligned, exactly-sized) payload with
+   [Unix.map_file] and adopt chunks through [Tape.append_deferred_chunk]:
+   the payload checksum is verified over the mapping up front — corrupt
+   or truncated files are rejected before a single chunk is adopted —
+   and the per-chunk addr/meta [int] arrays are only decoded out of the
+   mapping when a walk first touches the chunk.  On a big-endian host,
+   or when the file cannot be mapped (exotic filesystems), the payload
+   is streamed and decoded eagerly instead — same validation, same
+   tape.  Files of any other version are rejected with
+   [Version_mismatch] (the tape store recaptures them). *)
 
 let magic = "dvftape\n"
-let format_version = 2
-let oldest_readable_version = 1
+let format_version = 3
 
 type meta = { workload : string; size : string; seed : int }
 
@@ -63,8 +54,8 @@ type error =
 let error_to_string = function
   | Bad_magic -> "not a dvf tape file (bad magic)"
   | Version_mismatch v ->
-      Printf.sprintf "tape format version %d (this build reads versions %d..%d)"
-        v oldest_readable_version format_version
+      Printf.sprintf "tape format version %d (this build reads version %d)" v
+        format_version
   | Corrupt msg -> "corrupt tape file: " ^ msg
   | Io_error msg -> "tape i/o error: " ^ msg
 
@@ -74,8 +65,15 @@ let hash_init = 0x3243f6a8885a308
 let hash_prime = 0x100000001b3
 let hash_mix h w = (h lxor w) * hash_prime
 
+let hash_bytes h b pos len =
+  let h = ref h in
+  for i = pos to pos + len - 1 do
+    h := hash_mix !h (Char.code (Bytes.unsafe_get b i))
+  done;
+  !h
+
 let hash_string s =
-  String.fold_left (fun h c -> hash_mix h (Char.code c)) hash_init s
+  hash_bytes hash_init (Bytes.unsafe_of_string s) 0 (String.length s)
 
 let checksum tape =
   Tape.fold_chunks tape ~init:hash_init ~f:(fun h ~addrs ~metas ~len ->
@@ -84,14 +82,6 @@ let checksum tape =
         h := hash_mix (hash_mix !h addrs.(i)) metas.(i)
       done;
       !h)
-
-let index_checksum infos =
-  List.fold_left
-    (fun h (ci : Tape.chunk_info) ->
-      let h = hash_mix h ci.ci_len in
-      let h = Array.fold_left hash_mix h ci.ci_coverage in
-      hash_mix (hash_mix h ci.ci_min_line) ci.ci_max_line)
-    hash_init infos
 
 (* Sanity bounds: a header field past these is corruption, not a big
    tape.  (A chunk capacity of 2^30 events would be a 16 GiB chunk.) *)
@@ -108,7 +98,13 @@ let add_str b s =
   add_u32 b (String.length s);
   Buffer.add_string b s
 
-let add_provenance_and_regions header ~meta ~registry =
+let write_tape oc ~meta ~registry ~tape =
+  let header = Buffer.create 1024 in
+  Buffer.add_string header magic;
+  add_u32 header format_version;
+  add_u32 header (Tape.chunk_events tape);
+  add_i64 header (Tape.length tape);
+  add_i64 header (checksum tape);
   add_str header meta.workload;
   add_str header meta.size;
   add_i64 header meta.seed;
@@ -123,26 +119,8 @@ let add_provenance_and_regions header ~meta ~registry =
       add_i64 header base;
       add_i64 header bytes;
       add_u32 header elem_size)
-    entries
-
-let write_tape oc ~meta ~registry ~tape =
-  let infos = Tape.chunk_infos tape in
-  let header = Buffer.create 1024 in
-  Buffer.add_string header magic;
-  add_u32 header format_version;
-  add_u32 header (Tape.chunk_events tape);
-  add_i64 header (Tape.length tape);
-  add_i64 header (checksum tape);
-  add_provenance_and_regions header ~meta ~registry;
-  add_u32 header (List.length infos);
-  List.iter
-    (fun (ci : Tape.chunk_info) ->
-      add_u32 header ci.Tape.ci_len;
-      Array.iter (fun w -> add_u32 header w) ci.Tape.ci_coverage;
-      add_i64 header ci.Tape.ci_min_line;
-      add_i64 header ci.Tape.ci_max_line)
-    infos;
-  add_i64 header (index_checksum infos);
+    entries;
+  add_i64 header (hash_string (Buffer.contents header));
   (* Align the payload: after the u32 pad-length field itself. *)
   let pad = (8 - ((Buffer.length header + 4) land 7)) land 7 in
   add_u32 header pad;
@@ -160,38 +138,11 @@ let write_tape oc ~meta ~registry ~tape =
       done;
       output oc scratch 0 (8 * len))
 
-(* The version-1 writer, retained so compatibility tests (and tooling
-   that must interoperate with v1-era readers) can still produce v1
-   files: chunks carry a u32 length prefix and there is no chunk
-   table. *)
-let write_tape_v1 oc ~meta ~registry ~tape =
-  let header = Buffer.create 512 in
-  Buffer.add_string header magic;
-  add_u32 header 1;
-  add_u32 header (Tape.chunk_events tape);
-  add_i64 header (Tape.length tape);
-  add_i64 header (checksum tape);
-  add_provenance_and_regions header ~meta ~registry;
-  Buffer.output_buffer oc header;
-  let scratch = Bytes.create (8 * Tape.chunk_events tape) in
-  let lenbuf = Bytes.create 4 in
-  Tape.fold_chunks tape ~init:() ~f:(fun () ~addrs ~metas ~len ->
-      Bytes.set_int32_le lenbuf 0 (Int32.of_int len);
-      output_bytes oc lenbuf;
-      for i = 0 to len - 1 do
-        Bytes.set_int64_le scratch (8 * i) (Int64.of_int addrs.(i))
-      done;
-      output oc scratch 0 (8 * len);
-      for i = 0 to len - 1 do
-        Bytes.set_int64_le scratch (8 * i) (Int64.of_int metas.(i))
-      done;
-      output oc scratch 0 (8 * len))
-
-let save_with writer ~path ~meta ~registry ~tape =
+let save ~path ~meta ~registry ~tape =
   let tmp = path ^ ".tmp" in
   let oc = open_out_bin tmp in
   (try
-     writer oc ~meta ~registry ~tape;
+     write_tape oc ~meta ~registry ~tape;
      close_out oc
    with e ->
      close_out_noerr oc;
@@ -199,31 +150,29 @@ let save_with writer ~path ~meta ~registry ~tape =
      raise e);
   Sys.rename tmp path
 
-let save ~path ~meta ~registry ~tape = save_with write_tape ~path ~meta ~registry ~tape
-
-let save_v1 ~path ~meta ~registry ~tape =
-  save_with write_tape_v1 ~path ~meta ~registry ~tape
-
 (* {2 Reading} *)
 
 exception Bad_file of error
 
 let corrupt fmt = Printf.ksprintf (fun m -> raise (Bad_file (Corrupt m))) fmt
 
-let read_exact ic b pos len =
-  try really_input ic b pos len
-  with End_of_file -> corrupt "truncated file"
+(* The reader folds every header byte it consumes into [hash], which the
+   stored header checksum is compared against. *)
+type reader = { ic : in_channel; word : Bytes.t; mutable hash : int }
 
-type reader = { ic : in_channel; word : Bytes.t }
+let make_reader ic = { ic; word = Bytes.create 8; hash = hash_init }
 
-let make_reader ic = { ic; word = Bytes.create 8 }
+let read_exact r b pos len =
+  (try really_input r.ic b pos len
+   with End_of_file -> corrupt "truncated file");
+  r.hash <- hash_bytes r.hash b pos len
 
 let read_u32 r =
-  read_exact r.ic r.word 0 4;
+  read_exact r r.word 0 4;
   Int32.to_int (Bytes.get_int32_le r.word 0) land 0xFFFFFFFF
 
 let read_i64 r =
-  read_exact r.ic r.word 0 8;
+  read_exact r r.word 0 8;
   let v = Bytes.get_int64_le r.word 0 in
   if v < Int64.of_int min_int || v > Int64.of_int max_int then
     corrupt "64-bit field out of native int range";
@@ -233,31 +182,33 @@ let read_str r =
   let len = read_u32 r in
   if len > max_string_len then corrupt "string length %d out of range" len;
   let b = Bytes.create len in
-  read_exact r.ic b 0 len;
+  read_exact r b 0 len;
   Bytes.unsafe_to_string b
 
 let read_raw_version r =
   let m = Bytes.create (String.length magic) in
-  (try really_input r.ic m 0 (String.length magic)
-   with End_of_file -> raise (Bad_file Bad_magic));
+  (try read_exact r m 0 (String.length magic)
+   with Bad_file _ -> raise (Bad_file Bad_magic));
   if Bytes.to_string m <> magic then raise (Bad_file Bad_magic);
   read_u32 r
 
 let read_header r =
   let version = read_raw_version r in
-  if version < oldest_readable_version || version > format_version then
-    raise (Bad_file (Version_mismatch version));
+  if version <> format_version then raise (Bad_file (Version_mismatch version));
   let chunk_events = read_u32 r in
   if chunk_events <= 0 || chunk_events > max_chunk_events then
     corrupt "chunk capacity %d out of range" chunk_events;
   let total = read_i64 r in
-  if total < 0 then corrupt "negative event count";
+  if total < 0 || total > max_int / 32 then
+    corrupt "event count %d out of range" total;
   let stored_checksum = read_i64 r in
   let workload = read_str r in
   let size = read_str r in
   let seed = read_i64 r in
-  (version, chunk_events, total, stored_checksum, { workload; size; seed })
+  (chunk_events, total, stored_checksum, { workload; size; seed })
 
+(* The region table, then the header checksum and the payload padding.
+   Nothing the header declares is trusted until the checksum matched. *)
 let read_regions r =
   let page = read_u32 r in
   let stagger = read_u32 r in
@@ -272,118 +223,29 @@ let read_regions r =
         let elem_size = read_u32 r in
         (id, name, base, bytes, elem_size))
   in
+  let computed = r.hash in
+  if read_i64 r <> computed then corrupt "header checksum mismatch";
+  let pad = read_u32 r in
+  if pad > 7 then corrupt "padding length %d out of range" pad;
+  read_exact r r.word 0 pad;
+  for i = 0 to pad - 1 do
+    if Bytes.get r.word i <> '\000' then corrupt "nonzero padding byte"
+  done;
   try Region.restore ~page ~stagger entries
   with Invalid_argument msg -> corrupt "%s" msg
 
-let reject_trailing r =
-  match input_char r.ic with
-  | _ -> corrupt "trailing garbage after last chunk"
-  | exception End_of_file -> ()
+(* Chunk [i]'s length: full chunks, then the remainder. *)
+let chunk_lengths ~chunk_events ~total =
+  List.init
+    ((total + chunk_events - 1) / chunk_events)
+    (fun i -> min chunk_events (total - (i * chunk_events)))
 
-(* The v1 streaming path: chunks carry their own length prefix and are
-   decoded eagerly; [Tape.append_raw_chunk] recomputes the partition
-   index from the words. *)
-let read_chunks_v1 r ~chunk_events ~total ~stored_checksum =
-  let tape = Tape.create ~chunk_events () in
-  let scratch = Bytes.create (8 * chunk_events) in
-  let hash = ref hash_init in
-  let remaining = ref total in
-  while !remaining > 0 do
-    let expected = min !remaining chunk_events in
-    let len = read_u32 r in
-    if len <> expected then
-      corrupt "chunk length %d, expected %d" len expected;
-    let read_words () =
-      let a = Array.make chunk_events 0 in
-      read_exact r.ic scratch 0 (8 * len);
-      for i = 0 to len - 1 do
-        a.(i) <- Int64.to_int (Bytes.get_int64_le scratch (8 * i))
-      done;
-      a
-    in
-    let addrs = read_words () in
-    let metas = read_words () in
-    for i = 0 to len - 1 do
-      hash := hash_mix (hash_mix !hash addrs.(i)) metas.(i)
-    done;
-    Tape.append_raw_chunk tape ~addrs ~metas ~len;
-    remaining := !remaining - len
-  done;
-  if !hash <> stored_checksum then corrupt "checksum mismatch";
-  reject_trailing r;
-  tape
-
-(* One v2 chunk-table entry. *)
-type table_entry = {
-  e_len : int;
-  e_coverage : int array;
-  e_min_line : int;
-  e_max_line : int;
-}
-
-let read_chunk_table r ~chunk_events ~total =
-  let count = read_u32 r in
-  let expected_count = (total + chunk_events - 1) / chunk_events in
-  if count <> expected_count then
-    corrupt "chunk count %d, expected %d" count expected_count;
-  let entries =
-    List.init count (fun i ->
-        let len = read_u32 r in
-        let expected =
-          if i < count - 1 then chunk_events
-          else total - ((count - 1) * chunk_events)
-        in
-        if len <> expected then
-          corrupt "chunk length %d, expected %d" len expected;
-        let coverage = Array.init Tape.coverage_words (fun _ -> read_u32 r) in
-        let min_line = read_i64 r in
-        let max_line = read_i64 r in
-        if min_line < 0 || max_line < min_line then
-          corrupt "chunk line range [%d, %d] invalid" min_line max_line;
-        { e_len = len; e_coverage = coverage; e_min_line = min_line;
-          e_max_line = max_line })
-  in
-  let stored_index_checksum = read_i64 r in
-  let computed =
-    List.fold_left
-      (fun h e ->
-        let h = hash_mix h e.e_len in
-        let h = Array.fold_left hash_mix h e.e_coverage in
-        hash_mix (hash_mix h e.e_min_line) e.e_max_line)
-      hash_init entries
-  in
-  if computed <> stored_index_checksum then corrupt "chunk index checksum mismatch";
-  let pad = read_u32 r in
-  if pad > 7 then corrupt "padding length %d out of range" pad;
-  if pad > 0 then read_exact r.ic r.word 0 pad;
-  entries
-
-let adopt_entries tape entries ~word_at =
-  List.fold_left
-    (fun base e ->
-      let len = e.e_len in
-      let decode () =
-        let chunk_events = Tape.chunk_events tape in
-        let addrs = Array.make chunk_events 0 in
-        let metas = Array.make chunk_events 0 in
-        for i = 0 to len - 1 do
-          addrs.(i) <- word_at (base + i);
-          metas.(i) <- word_at (base + len + i)
-        done;
-        (addrs, metas)
-      in
-      Tape.append_deferred_chunk tape ~len ~coverage:e.e_coverage
-        ~min_line:e.e_min_line ~max_line:e.e_max_line ~decode;
-      base + (2 * len))
-    0 entries
-  |> ignore
-
-(* The v2 mmap path: map the payload (8-aligned by construction, sized
+(* The mmap path: map the payload (8-aligned by construction, sized
    exactly by the header), verify the payload checksum over the mapping
    — before any chunk is adopted — then register every chunk as a
    deferred decode out of the mapping. *)
-let read_chunks_v2_mapped r ~telemetry ~chunk_events ~total ~stored_checksum
-    entries ~payload_offset =
+let read_chunks_mapped r ~telemetry ~chunk_events ~total ~stored_checksum
+    ~payload_offset =
   let words = 2 * total in
   let ba =
     Bigarray.array1_of_genarray
@@ -392,87 +254,93 @@ let read_chunks_v2_mapped r ~telemetry ~chunk_events ~total ~stored_checksum
          ~pos:(Int64.of_int payload_offset) Bigarray.int64 Bigarray.c_layout
          false [| words |])
   in
+  let word_at i = Int64.to_int (Bigarray.Array1.unsafe_get ba i) in
+  let lens = chunk_lengths ~chunk_events ~total in
   let hash = ref hash_init in
-  let base = ref 0 in
-  List.iter
-    (fun e ->
-      for i = 0 to e.e_len - 1 do
-        hash :=
-          hash_mix
-            (hash_mix !hash
-               (Int64.to_int (Bigarray.Array1.unsafe_get ba (!base + i))))
-            (Int64.to_int (Bigarray.Array1.unsafe_get ba (!base + e.e_len + i)))
-      done;
-      base := !base + (2 * e.e_len))
-    entries;
+  ignore
+    (List.fold_left
+       (fun base len ->
+         for i = 0 to len - 1 do
+           hash :=
+             hash_mix (hash_mix !hash (word_at (base + i))) (word_at (base + len + i))
+         done;
+         base + (2 * len))
+       0 lens);
   if !hash <> stored_checksum then corrupt "checksum mismatch";
   let tape = Tape.create ~chunk_events () in
-  adopt_entries tape entries ~word_at:(fun i ->
-      Int64.to_int (Bigarray.Array1.get ba i));
+  ignore
+    (List.fold_left
+       (fun base len ->
+         let decode () =
+           let addrs = Array.make chunk_events 0 in
+           let metas = Array.make chunk_events 0 in
+           for i = 0 to len - 1 do
+             addrs.(i) <- word_at (base + i);
+             metas.(i) <- word_at (base + len + i)
+           done;
+           (addrs, metas)
+         in
+         Tape.append_deferred_chunk tape ~len ~decode;
+         base + (2 * len))
+       0 lens);
   Dvf_util.Telemetry.add telemetry ~n:(8 * words) "tape/mmap_bytes";
   tape
 
-(* Streamed v2 fallback (big-endian host, or a file [Unix.map_file]
+(* Streamed fallback (big-endian host, or a file [Unix.map_file]
    refuses): same layout, eager decode, same checksum-before-trust —
    chunks are only adopted after the full payload verified. *)
-let read_chunks_v2_streamed r ~chunk_events ~stored_checksum entries =
+let read_chunks_streamed r ~chunk_events ~total ~stored_checksum =
   let scratch = Bytes.create (8 * chunk_events) in
   let hash = ref hash_init in
   let chunks =
     List.map
-      (fun e ->
+      (fun len ->
         let read_words () =
           let a = Array.make chunk_events 0 in
-          read_exact r.ic scratch 0 (8 * e.e_len);
-          for i = 0 to e.e_len - 1 do
+          (try really_input r.ic scratch 0 (8 * len)
+           with End_of_file -> corrupt "truncated file");
+          for i = 0 to len - 1 do
             a.(i) <- Int64.to_int (Bytes.get_int64_le scratch (8 * i))
           done;
           a
         in
         let addrs = read_words () in
         let metas = read_words () in
-        for i = 0 to e.e_len - 1 do
+        for i = 0 to len - 1 do
           hash := hash_mix (hash_mix !hash addrs.(i)) metas.(i)
         done;
-        (e, addrs, metas))
-      entries
+        (len, addrs, metas))
+      (chunk_lengths ~chunk_events ~total)
   in
   if !hash <> stored_checksum then corrupt "checksum mismatch";
-  reject_trailing r;
   let tape = Tape.create ~chunk_events () in
   List.iter
-    (fun (e, addrs, metas) ->
-      Tape.append_deferred_chunk tape ~len:e.e_len ~coverage:e.e_coverage
-        ~min_line:e.e_min_line ~max_line:e.e_max_line
-        ~decode:(fun () -> (addrs, metas)))
+    (fun (len, addrs, metas) ->
+      Tape.append_deferred_chunk tape ~len ~decode:(fun () -> (addrs, metas)))
     chunks;
   Tape.materialize tape;
   tape
 
-let read_chunks_v2 r ~telemetry ~chunk_events ~total ~stored_checksum =
-  let entries = read_chunk_table r ~chunk_events ~total in
+let read_chunks r ~telemetry ~chunk_events ~total ~stored_checksum =
+  let payload_offset = pos_in r.ic in
+  if payload_offset land 7 <> 0 then
+    corrupt "payload not 8-byte-aligned (offset %d)" payload_offset;
+  let expected_size = payload_offset + (8 * 2 * total) in
+  let actual = in_channel_length r.ic in
+  if actual < expected_size then corrupt "truncated file";
+  if actual > expected_size then corrupt "trailing garbage after last chunk";
   if total = 0 then begin
     if hash_init <> stored_checksum then corrupt "checksum mismatch";
-    reject_trailing r;
     Tape.create ~chunk_events ()
   end
-  else begin
-    let payload_offset = pos_in r.ic in
-    if payload_offset land 7 <> 0 then
-      corrupt "payload not 8-byte-aligned (offset %d)" payload_offset;
-    let expected_size = payload_offset + (8 * 2 * total) in
-    let actual = in_channel_length r.ic in
-    if actual < expected_size then corrupt "truncated file";
-    if actual > expected_size then corrupt "trailing garbage after last chunk";
-    if Sys.big_endian then
-      read_chunks_v2_streamed r ~chunk_events ~stored_checksum entries
-    else
-      try
-        read_chunks_v2_mapped r ~telemetry ~chunk_events ~total
-          ~stored_checksum entries ~payload_offset
-      with Unix.Unix_error _ ->
-        read_chunks_v2_streamed r ~chunk_events ~stored_checksum entries
-  end
+  else if Sys.big_endian then
+    read_chunks_streamed r ~chunk_events ~total ~stored_checksum
+  else
+    try
+      read_chunks_mapped r ~telemetry ~chunk_events ~total ~stored_checksum
+        ~payload_offset
+    with Unix.Unix_error _ ->
+      read_chunks_streamed r ~chunk_events ~total ~stored_checksum
 
 let with_file path f =
   match open_in_bin path with
@@ -486,20 +354,15 @@ let with_file path f =
 
 let load ?(telemetry = Dvf_util.Telemetry.null) ?(eager = false) path =
   with_file path (fun r ->
-      let version, chunk_events, total, stored_checksum, meta = read_header r in
+      let chunk_events, total, stored_checksum, meta = read_header r in
       let registry = read_regions r in
-      let tape =
-        match version with
-        | 1 -> read_chunks_v1 r ~chunk_events ~total ~stored_checksum
-        | 2 -> read_chunks_v2 r ~telemetry ~chunk_events ~total ~stored_checksum
-        | _ -> assert false (* read_header rejected it *)
-      in
+      let tape = read_chunks r ~telemetry ~chunk_events ~total ~stored_checksum in
       if eager then Tape.materialize tape;
       (meta, registry, tape))
 
 let read_meta path =
   with_file path (fun r ->
-      let _, _, _, _, meta = read_header r in
+      let _, _, _, meta = read_header r in
       meta)
 
 let read_version path = with_file path read_raw_version

@@ -123,10 +123,9 @@ let list t =
          if not (Filename.check_suffix file suffix) then None
          else
            let p = Filename.concat t.dir file in
-           (* [Tape_io.load] still reads v1 files, but the store keys
-              entries on the current format version: any other version
-              on disk is a retired entry no lookup will ever hit again —
-              label it stale so [gc] reaps it. *)
+           (* The store keys entries on the current format version: any
+              other version on disk is a retired entry no lookup will
+              ever hit again — label it stale so [gc] reaps it. *)
            let status =
              match Tape_io.read_version p with
              | Ok v when v <> Tape_io.format_version -> `Stale v

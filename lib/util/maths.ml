@@ -26,17 +26,19 @@ let rec lgamma x =
 
 let log_factorial_cache_size = 1025
 
+(* Built eagerly at module initialization: the table is read from pool
+   domains, and a shared [lazy] forced concurrently raises
+   [CamlinternalLazy.Undefined]. *)
 let log_factorial_cache =
-  lazy
-    (let tbl = Array.make log_factorial_cache_size 0.0 in
-     for n = 2 to log_factorial_cache_size - 1 do
-       tbl.(n) <- tbl.(n - 1) +. log (float_of_int n)
-     done;
-     tbl)
+  let tbl = Array.make log_factorial_cache_size 0.0 in
+  for n = 2 to log_factorial_cache_size - 1 do
+    tbl.(n) <- tbl.(n - 1) +. log (float_of_int n)
+  done;
+  tbl
 
 let log_factorial n =
   if n < 0 then invalid_arg "Maths.log_factorial: negative argument";
-  if n < log_factorial_cache_size then (Lazy.force log_factorial_cache).(n)
+  if n < log_factorial_cache_size then log_factorial_cache.(n)
   else lgamma (float_of_int n +. 1.0)
 
 let log_choose n k =

@@ -85,7 +85,8 @@ let test_stats_sum_equals_combined_run () =
   List.iter
     (fun (c, addr) -> C.Cache.access c ~owner:1 ~write:true ~addr ~size:4)
     [ (c1, 0); (c1, 32); (c2, 64); (c2, 96); (c2, 0) ];
-  let summed = C.Stats.sum [ C.Cache.stats c1; C.Cache.stats c2 ] in
+  let summed = C.Stats.create () in
+  List.iter (fun c -> C.Stats.merge ~into:summed (C.Cache.stats c)) [ c1; c2 ];
   let t = C.Stats.totals summed in
   Alcotest.(check int) "writes" 5 t.C.Stats.writes;
   Alcotest.(check int) "misses" 5 t.C.Stats.misses
@@ -320,28 +321,202 @@ let prop_stats_consistent =
       let c = C.Stats.owner_counters (C.Cache.stats cache) 1 in
       c.C.Stats.hits + c.C.Stats.misses = c.C.Stats.reads + c.C.Stats.writes)
 
-(* Property: an LRU cache of B blocks total hits whenever the stack
-   distance is < associativity within a set; cross-check against a naive
-   per-set LRU list model. *)
+(* Differential oracle for the simulation kernel: a naive per-set LRU
+   list with dirty bits, driven event by event, against
+   [Cache.access_batch] on random packed batches — random power-of-two
+   geometries, writes, references spanning several lines, three owners,
+   and a batch split at a random point (the clock must carry across
+   batches).  Compared: per-owner reads, writes, misses and writebacks,
+   the fill/spill sequence a next level would see, and the residency
+   clean/dirty/fill/eviction/flush totals with an accumulator attached.
+   [Cache.touch_line] is checked against the same model on the
+   single-line path. *)
+
+type ref_line = {
+  r_line : int;
+  r_owner : int;
+  mutable r_dirty : bool;
+  mutable r_start : int;
+}
+
+type ref_result = {
+  reads : int array;
+  writes : int array;
+  misses : int array;
+  writebacks : int array;
+  clean : int array;
+  dirty : int array;
+  fills : int array;
+  evictions : int array;
+  flushes : int array;
+  feed : (bool * int * int) list; (* (is_spill, owner, line), in order *)
+}
+
+let ref_owners = 4
+
+let reference_lru ~assoc ~sets ~line_size events =
+  let count () = Array.make ref_owners 0 in
+  let r =
+    {
+      reads = count (); writes = count (); misses = count ();
+      writebacks = count (); clean = count (); dirty = count ();
+      fills = count (); evictions = count (); flushes = count (); feed = [];
+    }
+  in
+  let feed = ref [] in
+  let bump a i = a.(i) <- a.(i) + 1 in
+  let close e now =
+    let a = if e.r_dirty then r.dirty else r.clean in
+    a.(e.r_owner) <- a.(e.r_owner) + (now - e.r_start)
+  in
+  let mru = Array.make sets [] in
+  List.iteri
+    (fun now (addr, size, owner, write) ->
+      for line = addr / line_size to (addr + size - 1) / line_size do
+        bump (if write then r.writes else r.reads) owner;
+        let s = line mod sets in
+        match List.find_opt (fun e -> e.r_line = line) mru.(s) with
+        | Some e ->
+            mru.(s) <- e :: List.filter (fun x -> x != e) mru.(s);
+            if write && not e.r_dirty then begin
+              close e now;
+              e.r_start <- now;
+              e.r_dirty <- true
+            end
+        | None ->
+            bump r.misses owner;
+            let resident =
+              if List.length mru.(s) < assoc then mru.(s)
+              else begin
+                let victim = List.nth mru.(s) (assoc - 1) in
+                if victim.r_dirty then begin
+                  bump r.writebacks victim.r_owner;
+                  feed := (true, victim.r_owner, victim.r_line) :: !feed
+                end;
+                close victim now;
+                bump r.evictions victim.r_owner;
+                List.filter (fun x -> x != victim) mru.(s)
+              end
+            in
+            mru.(s) <-
+              { r_line = line; r_owner = owner; r_dirty = write; r_start = now }
+              :: resident;
+            bump r.fills owner;
+            feed := (false, owner, line) :: !feed
+      done)
+    events;
+  let horizon = List.length events in
+  Array.iter
+    (List.iter (fun e ->
+         if e.r_dirty then bump r.writebacks e.r_owner;
+         close e horizon;
+         bump r.flushes e.r_owner))
+    mru;
+  { r with feed = List.rev !feed }
+
+let gen_lru_case =
+  QCheck.Gen.(
+    int_range 0 2 >>= fun assoc_log ->
+    int_range 0 3 >>= fun sets_log ->
+    int_range 3 5 >>= fun line_log ->
+    int_range 1 300 >>= fun n ->
+    list_repeat n
+      (quad (int_range 0 2047) (int_range 1 96) (int_range 1 (ref_owners - 1))
+         bool)
+    >>= fun events ->
+    int_range 0 n >>= fun split ->
+    return (1 lsl assoc_log, 1 lsl sets_log, 1 lsl line_log, events, split))
+
 let prop_matches_reference_lru =
-  QCheck.Test.make ~count:100 ~name:"matches reference LRU model"
-    QCheck.(list_of_size (Gen.int_range 1 300) (int_range 0 1023))
-    (fun line_addrs ->
-      let cache = C.Cache.create tiny_config in
-      let sets = Array.make 2 [] in
-      let ok = ref true in
-      List.iter
-        (fun addr ->
-          let line = addr / 16 in
-          let set = line mod 2 in
-          let expected_hit = List.mem line sets.(set) in
-          let lru = sets.(set) in
-          let without = List.filter (fun l -> l <> line) lru in
-          sets.(set) <- line :: (if List.length without > 1 then [ List.hd without ] else without);
-          let got = C.Cache.touch_line cache ~owner:1 ~write:false ~line_addr:(line * 16) in
-          if got <> expected_hit then ok := false)
-        line_addrs;
-      !ok)
+  QCheck.Test.make ~count:300 ~name:"matches reference LRU model"
+    (QCheck.make gen_lru_case)
+    (fun (assoc, sets, line_size, events, split) ->
+      let config =
+        C.Config.make ~name:"random" ~associativity:assoc ~sets ~line:line_size
+      in
+      let expect = reference_lru ~assoc ~sets ~line_size events in
+      let n = List.length events in
+      let addrs = Array.of_list (List.map (fun (a, _, _, _) -> a) events) in
+      let metas =
+        Array.of_list
+          (List.map
+             (fun (_, size, owner, write) -> C.Cache.pack_access ~owner ~write ~size)
+             events)
+      in
+      let drive ?fill ?spill cache =
+        C.Cache.access_batch ?fill ?spill cache ~addrs ~metas ~pos:0 ~len:split;
+        C.Cache.access_batch ?fill ?spill cache ~addrs ~metas ~pos:split
+          ~len:(n - split);
+        C.Cache.flush cache
+      in
+      let stats_match cache =
+        List.for_all
+          (fun owner ->
+            let c = C.Stats.owner_counters (C.Cache.stats cache) owner in
+            c.C.Stats.reads = expect.reads.(owner)
+            && c.C.Stats.writes = expect.writes.(owner)
+            && c.C.Stats.misses = expect.misses.(owner)
+            && c.C.Stats.writebacks = expect.writebacks.(owner))
+          (List.init ref_owners Fun.id)
+      in
+      (* The plain kernel: no hooks, no residency. *)
+      let plain = C.Cache.create config in
+      drive plain;
+      (* Every hook on: next-level feed and a residency accumulator. *)
+      let hooked = C.Cache.create config in
+      let res = C.Residency.create ~bins:4 ~horizon:n () in
+      C.Cache.attach_residency hooked res;
+      let feed = ref [] in
+      let fill ~owner ~line = feed := (false, owner, line) :: !feed in
+      let spill ~owner ~line = feed := (true, owner, line) :: !feed in
+      (* The flush runs at the horizon and spills in slot order; the
+         model compares the in-batch sequence only. *)
+      drive ~fill
+        ~spill:(fun ~owner ~line ->
+          if C.Cache.now hooked < n then spill ~owner ~line)
+        hooked;
+      let snap = C.Residency.snapshot res in
+      let residency_match =
+        List.for_all
+          (fun owner ->
+            let c = C.Residency.Snapshot.owner snap owner in
+            c.C.Residency.clean_time = expect.clean.(owner)
+            && c.C.Residency.dirty_time = expect.dirty.(owner)
+            && c.C.Residency.fills = expect.fills.(owner)
+            && c.C.Residency.evictions = expect.evictions.(owner)
+            && c.C.Residency.flushes = expect.flushes.(owner))
+          (List.init ref_owners Fun.id)
+      in
+      (* The single-line entry point against the same model. *)
+      let line_events =
+        List.map (fun (addr, _, owner, write) -> (addr, 1, owner, write)) events
+      in
+      let line_expect = reference_lru ~assoc ~sets ~line_size line_events in
+      let single = C.Cache.create config in
+      let mru = Array.make sets [] in
+      let hits_match =
+        List.for_all
+          (fun (addr, _, owner, write) ->
+            let line = addr / line_size in
+            let s = line mod sets in
+            let expected_hit = List.mem line mru.(s) in
+            let rest = List.filter (fun l -> l <> line) mru.(s) in
+            mru.(s) <- List.filteri (fun i _ -> i < assoc) (line :: rest);
+            C.Cache.touch_line single ~owner ~write ~line_addr:addr = expected_hit)
+          events
+      in
+      C.Cache.flush single;
+      let single_misses_match =
+        List.for_all
+          (fun owner ->
+            let c = C.Stats.owner_counters (C.Cache.stats single) owner in
+            c.C.Stats.misses = line_expect.misses.(owner)
+            && c.C.Stats.writebacks = line_expect.writebacks.(owner))
+          (List.init ref_owners Fun.id)
+      in
+      stats_match plain && stats_match hooked
+      && List.rev !feed = expect.feed
+      && residency_match && hits_match && single_misses_match)
 
 let suite =
   [

@@ -1,11 +1,10 @@
-(* Cachesim.Hierarchy + set-sharded replay.
+(* Cachesim.Hierarchy.
 
    Two load-bearing invariants: (1) the inter-level funnel is exact — a
    level's accesses equal the level above's misses plus writebacks, per
-   owner, once the hierarchy is flushed; (2) partitioning by set index
-   changes nothing — a 1-level hierarchy is bit-identical to the single
-   cache it wraps, and sharded fused replay is bit-identical to the
-   serial fused walk at every shard/job count. *)
+   owner, once the hierarchy is flushed; (2) a 1-level hierarchy is
+   bit-identical to the single cache it wraps, and per-level verify rows
+   are identical at every job count. *)
 
 module C = Cachesim
 module Mt = Memtrace
@@ -74,8 +73,6 @@ let test_create_validation () =
       C.Hierarchy.create ~funnel_events:0 [ tiny ]);
   let h = C.Hierarchy.create (C.Config.hierarchy_of ~levels:2 tiny) in
   Alcotest.(check int) "depth" 2 (C.Hierarchy.depth h);
-  (* max_shards is the smallest set count over the levels — L1's here. *)
-  Alcotest.(check int) "max_shards" 4 (C.Hierarchy.max_shards h);
   expect_invalid "level out of range" (fun () ->
       ignore (C.Hierarchy.level_cache h 2))
 
@@ -248,70 +245,6 @@ let test_funnel_capacity_invariance () =
   Alcotest.(check bool) "funnel 1 = funnel 13" true (tiny_buf = small_buf);
   Alcotest.(check bool) "funnel 13 = funnel 65536" true (small_buf = big_buf)
 
-(* --- sharded walks are bit-identical --- *)
-
-let test_cache_sharded_identity () =
-  let tape = tape_of (synthetic_events 3000) in
-  let configs = C.Config.verification_set in
-  let serial = Array.of_list (List.map C.Cache.create configs) in
-  Mt.Tape.replay_fused tape serial;
-  Array.iter C.Cache.flush serial;
-  List.iter
-    (fun shards ->
-      (* One private replica set per shard, statistics merged in shard
-         order — the parallel plan, run here serially. *)
-      let replicas =
-        Array.init shards (fun shard ->
-            let caches = Array.of_list (List.map C.Cache.create configs) in
-            Mt.Tape.replay_fused_sharded tape caches ~shards ~shard;
-            Array.iter C.Cache.flush caches;
-            caches)
-      in
-      List.iteri
-        (fun i (cfg : C.Config.t) ->
-          let merged =
-            C.Stats.sum
-              (Array.to_list
-                 (Array.map (fun caches -> C.Cache.stats caches.(i)) replicas))
-          in
-          Alcotest.(check bool)
-            (Printf.sprintf "%d shards on %s" shards cfg.C.Config.name)
-            true
-            (C.Stats.snapshot merged = snap serial.(i)))
-        configs)
-    [ 1; 2; 8 ]
-
-let test_hierarchy_sharded_identity () =
-  let tape = tape_of (synthetic_events 3000) in
-  let configs = C.Config.hierarchy_of ~levels:2 C.Config.small_verification in
-  let serial = C.Hierarchy.create configs in
-  Mt.Tape.replay_hierarchies tape [| serial |];
-  C.Hierarchy.flush serial;
-  let serial_levels = level_snaps serial in
-  List.iter
-    (fun shards ->
-      let replicas =
-        Array.init shards (fun shard ->
-            let h = C.Hierarchy.create configs in
-            Mt.Tape.replay_hierarchies_sharded tape [| h |] ~shards ~shard;
-            C.Hierarchy.flush h;
-            h)
-      in
-      let merged_levels =
-        List.init (List.length configs) (fun level ->
-            C.Stats.snapshot
-              (C.Stats.sum
-                 (Array.to_list
-                    (Array.map
-                       (fun h -> C.Cache.stats (C.Hierarchy.level_cache h level))
-                       replicas))))
-      in
-      Alcotest.(check bool)
-        (Printf.sprintf "%d shards, both levels" shards)
-        true
-        (merged_levels = serial_levels))
-    [ 1; 2; 8 ]
-
 (* --- atomic batch validation (regression) ---
 
    [access_batch] used to validate per event mid-walk, so a bad event
@@ -329,36 +262,18 @@ let test_failed_batch_leaves_cache_untouched () =
   Alcotest.check_raises "negative address rejected"
     (Invalid_argument "Cache.access_batch: negative address at index 2")
     (fun () -> C.Cache.access_batch cache ~addrs ~metas ~pos:0 ~len:4);
-  expect_invalid "sharded walk rejects it too" (fun () ->
-      C.Cache.access_batch_sharded cache ~addrs ~metas ~pos:0 ~len:4 ~shards:2
-        ~shard:0);
+  expect_invalid "the hooked, timed walk rejects it too" (fun () ->
+      C.Cache.access_batch cache ~times:[| 0; 1; 2; 3 |]
+        ~fill:(fun ~owner:_ ~line:_ -> ())
+        ~spill:(fun ~owner:_ ~line:_ -> ())
+        ~addrs ~metas ~pos:0 ~len:4);
+  expect_invalid "short times column rejected" (fun () ->
+      C.Cache.access_batch cache ~times:[| 0 |] ~addrs:[| 0; 64 |]
+        ~metas:[| meta; meta |] ~pos:0 ~len:2);
   check_snapshots "stats untouched" before (snap cache);
   (* The valid prefix (indices 0..1) was not installed either. *)
   Alcotest.(check int) "no new resident lines" 0
     (C.Cache.resident_lines cache ~owner:1 - 1)
-
-let test_sharded_argument_validation () =
-  let cache = C.Cache.create tiny in
-  let addrs = [| 0 |] in
-  let metas = [| C.Cache.pack_access ~owner:1 ~write:false ~size:4 |] in
-  expect_invalid "shards not a power of two" (fun () ->
-      C.Cache.access_batch_sharded cache ~addrs ~metas ~pos:0 ~len:1 ~shards:3
-        ~shard:0);
-  expect_invalid "shards zero" (fun () ->
-      C.Cache.access_batch_sharded cache ~addrs ~metas ~pos:0 ~len:1 ~shards:0
-        ~shard:0);
-  expect_invalid "shard out of range" (fun () ->
-      C.Cache.access_batch_sharded cache ~addrs ~metas ~pos:0 ~len:1 ~shards:2
-        ~shard:2);
-  expect_invalid "effective_shards validates" (fun () ->
-      ignore (C.Cache.effective_shards cache ~shards:6));
-  Alcotest.(check int) "effective_shards clamps to sets" 4
-    (C.Cache.effective_shards cache ~shards:64);
-  (* A shard beyond the clamp owns no sets: walking it is a no-op. *)
-  C.Cache.access_batch_sharded cache ~addrs ~metas ~pos:0 ~len:1 ~shards:64
-    ~shard:33;
-  Alcotest.(check int) "clamped shard is a no-op" 0
-    (C.Stats.Snapshot.accesses (C.Stats.Snapshot.totals (snap cache)))
 
 (* --- snapshot owner lookup (binary search) --- *)
 
@@ -395,36 +310,25 @@ let test_snapshot_owner_lookup () =
 
 (* --- Verify sweeps --- *)
 
-let test_verify_sharded_identical () =
+let test_levels_rows_job_invariant () =
   let workloads = [ Core.Workloads.vm; Core.Workloads.mc ] in
-  let fused =
-    Core.Verify.run_all ~jobs:1 ~strategy:Core.Verify.Fused ~workloads ()
-  in
   List.iter
-    (fun jobs ->
-      let sharded =
-        Core.Verify.run_all ~jobs ~strategy:Core.Verify.Sharded ~workloads ()
-      in
+    (fun levels ->
+      let serial = Core.Verify.run_all_levels ~jobs:1 ~workloads ~levels () in
+      let parallel = Core.Verify.run_all_levels ~jobs:4 ~workloads ~levels () in
       Alcotest.(check bool)
-        (Printf.sprintf "sharded -j %d = fused" jobs)
-        true (sharded = fused))
-    [ 1; 2; 8 ];
-  (* An explicit shard count must not change the rows either. *)
-  let wide =
-    Core.Verify.run_all ~jobs:2 ~strategy:Core.Verify.Sharded ~shards:16
-      ~workloads ()
-  in
-  Alcotest.(check bool) "16 shards on 2 domains = fused" true (wide = fused)
+        (Printf.sprintf "levels:%d -j 4 = -j 1" levels)
+        true (parallel = serial))
+    [ 1; 2; 3 ]
 
 let test_run_all_levels () =
   let workloads = [ Core.Workloads.vm; Core.Workloads.mc ] in
   let classic =
-    Core.Verify.run_all ~jobs:1 ~strategy:Core.Verify.Fused ~workloads ()
+    Core.Verify.run_all ~jobs:1 ~workloads ()
   in
   (* levels:1 reports the same traffic the classic rows simulate. *)
   let l1 =
-    Core.Verify.run_all_levels ~jobs:1 ~strategy:Core.Verify.Fused ~workloads
-      ~levels:1 ()
+    Core.Verify.run_all_levels ~jobs:1 ~workloads ~levels:1 ()
   in
   Alcotest.(check int) "same row count at levels:1" (List.length classic)
     (List.length l1);
@@ -441,8 +345,7 @@ let test_run_all_levels () =
     classic l1;
   (* levels:2 rows obey the funnel invariant per workload/cache pair. *)
   let l2 =
-    Core.Verify.run_all_levels ~jobs:1 ~strategy:Core.Verify.Fused ~workloads
-      ~levels:2 ()
+    Core.Verify.run_all_levels ~jobs:1 ~workloads ~levels:2 ()
   in
   let keys =
     List.sort_uniq compare
@@ -472,22 +375,6 @@ let test_run_all_levels () =
         (sum (fun (l : Core.Verify.level_row) -> l.Core.Verify.accesses)
            (level 2)))
     keys;
-  (* Sharded and parallel runs reproduce the serial per-level rows. *)
-  List.iter
-    (fun jobs ->
-      let sharded =
-        Core.Verify.run_all_levels ~jobs ~strategy:Core.Verify.Sharded
-          ~workloads ~levels:2 ()
-      in
-      Alcotest.(check bool)
-        (Printf.sprintf "sharded -j %d = fused (levels:2)" jobs)
-        true (sharded = l2))
-    [ 1; 2; 8 ];
-  (* A hierarchy can only be driven from a captured tape. *)
-  expect_invalid "retrace rejected" (fun () ->
-      ignore
-        (Core.Verify.run_all_levels ~jobs:1 ~strategy:Core.Verify.Retrace
-           ~workloads ~levels:2 ()));
   expect_invalid "levels 0 rejected" (fun () ->
       ignore (Core.Verify.run_all_levels ~jobs:1 ~workloads ~levels:0 ()))
 
@@ -505,18 +392,12 @@ let suite =
       test_flush_attribution_mini_trace;
     Alcotest.test_case "funnel capacity invariance" `Quick
       test_funnel_capacity_invariance;
-    Alcotest.test_case "sharded fused = fused (caches)" `Quick
-      test_cache_sharded_identity;
-    Alcotest.test_case "sharded fused = fused (hierarchies)" `Quick
-      test_hierarchy_sharded_identity;
     Alcotest.test_case "failed batch leaves cache untouched" `Quick
       test_failed_batch_leaves_cache_untouched;
-    Alcotest.test_case "sharded argument validation" `Quick
-      test_sharded_argument_validation;
     Alcotest.test_case "snapshot owner lookup" `Quick
       test_snapshot_owner_lookup;
-    Alcotest.test_case "verify sharded strategy identical" `Quick
-      test_verify_sharded_identical;
+    Alcotest.test_case "levels rows invariant across -j" `Quick
+      test_levels_rows_job_invariant;
     Alcotest.test_case "per-level verification rows" `Quick
       test_run_all_levels;
   ]

@@ -103,9 +103,84 @@ let test_experiments_sweeps_deterministic () =
   let p = Core.Experiments.cache_sweep ~jobs:4 ~capacities:caps instance in
   Alcotest.(check bool) "cache_sweep rows identical" true (s = p)
 
+(* A module-level [lazy] reachable from pool tasks is a data race under
+   OCaml 5 domains: two domains forcing it at once raise
+   [CamlinternalLazy.Undefined].  Scan every library source for a
+   top-level binding whose body starts with [lazy] (on the binding's
+   line or the next non-blank one) or [Lazy.from_fun], and name each
+   hit as file:line. *)
+let top_level_lazy_bindings root =
+  let rec sources dir =
+    List.concat_map
+      (fun name ->
+        let path = Filename.concat dir name in
+        if Sys.is_directory path then sources path
+        else if Filename.check_suffix name ".ml" then [ path ]
+        else [])
+      (List.sort compare (Array.to_list (Sys.readdir dir)))
+  in
+  let starts_lazy text =
+    let text = String.trim text in
+    let word w =
+      String.length text >= String.length w
+      && String.sub text 0 (String.length w) = w
+      && (String.length text = String.length w
+         || not
+              (match text.[String.length w] with
+              | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '\'' -> true
+              | _ -> false))
+    in
+    word "lazy" || word "Lazy.from_fun"
+  in
+  let binding line =
+    List.exists
+      (fun kw ->
+        String.length line > String.length kw
+        && String.sub line 0 (String.length kw) = kw)
+      [ "let "; "and " ]
+  in
+  List.concat_map
+    (fun path ->
+      let lines =
+        Array.of_list
+          (String.split_on_char '\n'
+             (In_channel.with_open_bin path In_channel.input_all))
+      in
+      let hits = ref [] in
+      Array.iteri
+        (fun i line ->
+          if binding line then
+            match String.index_opt line '=' with
+            | None -> ()
+            | Some eq ->
+                let rest = String.sub line (eq + 1) (String.length line - eq - 1) in
+                let body =
+                  if String.trim rest <> "" then Some rest
+                  else begin
+                    let j = ref (i + 1) in
+                    while !j < Array.length lines && String.trim lines.(!j) = "" do
+                      incr j
+                    done;
+                    if !j < Array.length lines then Some lines.(!j) else None
+                  end
+                in
+                if Option.fold ~none:false ~some:starts_lazy body then
+                  hits := Printf.sprintf "%s:%d" path (i + 1) :: !hits)
+        lines;
+      List.rev !hits)
+    (sources root)
+
+let test_no_top_level_lazy () =
+  (* Tests run from _build/default/test; the library sources are
+     declared as a dependency in test/dune. *)
+  Alcotest.(check (list string)) "top-level lazy bindings in lib/" []
+    (top_level_lazy_bindings "../lib")
+
 let suite =
   [
     Alcotest.test_case "empty input" `Quick test_empty_input;
+    Alcotest.test_case "no top-level lazy in lib/" `Quick
+      test_no_top_level_lazy;
     Alcotest.test_case "order preserved (jobs > items)" `Quick
       test_order_preserved_jobs_gt_items;
     Alcotest.test_case "order preserved (items > jobs)" `Quick

@@ -4,9 +4,8 @@
    independent per-event census of resident lines reproduces every
    owner's residency time; (2) the histogram conserves the integral —
    each owner's bins sum to its clean/dirty times; (3) clock plumbing is
-   invariant — batch walks, sharded replicas (merged with
-   [Residency.sum]) and every timed-verify strategy/job count reproduce
-   the serial per-event accumulator bit for bit. *)
+   invariant — batch walks and timed-verify runs at every job count
+   reproduce the serial per-event accumulator bit for bit. *)
 
 module C = Cachesim
 module R = Cachesim.Residency
@@ -215,40 +214,6 @@ let test_batch_matches_per_event () =
     (C.Stats.snapshot (C.Cache.stats batch_cache)
     = C.Stats.snapshot (C.Cache.stats serial_cache))
 
-let test_sharded_merge_identity () =
-  let tape = tape_of (synthetic_events 3000) in
-  let n = Mt.Tape.length tape in
-  let serial_cache, serial_res = timed_cache ~horizon:n tiny in
-  Mt.Tape.replay tape serial_cache;
-  C.Cache.flush serial_cache;
-  let serial = R.snapshot serial_res in
-  List.iter
-    (fun shards ->
-      let replicas =
-        Array.init shards (fun shard ->
-            let cache, res = timed_cache ~horizon:n tiny in
-            Mt.Tape.replay_fused_sharded tape [| cache |] ~shards ~shard;
-            C.Cache.flush cache;
-            (cache, res))
-      in
-      let merged =
-        R.sum (Array.to_list (Array.map snd replicas))
-      in
-      Alcotest.(check bool)
-        (Printf.sprintf "%d shards merge to the serial accumulator" shards)
-        true
-        (R.snapshot merged = serial);
-      let merged_stats =
-        C.Stats.sum
-          (Array.to_list (Array.map (fun (c, _) -> C.Cache.stats c) replicas))
-      in
-      Alcotest.(check bool)
-        (Printf.sprintf "%d shards: stats unchanged by residency" shards)
-        true
-        (C.Stats.snapshot merged_stats
-        = C.Stats.snapshot (C.Cache.stats serial_cache)))
-    [ 1; 2; 8 ]
-
 (* Attaching residency must not change what the cache computes. *)
 let test_stats_unchanged_by_residency () =
   let events = synthetic_events 3000 in
@@ -262,7 +227,7 @@ let test_stats_unchanged_by_residency () =
     (C.Stats.snapshot (C.Cache.stats plain)
     = C.Stats.snapshot (C.Cache.stats timed))
 
-(* --- merge / sum --- *)
+(* --- merge --- *)
 
 let test_merge_and_sum () =
   let a = R.create ~bins:5 ~horizon:10 () in
@@ -272,7 +237,9 @@ let test_merge_and_sum () =
   R.record_interval b ~owner:1 ~dirty:true ~t0:4 ~t1:10;
   R.record_interval b ~owner:2 ~dirty:false ~t0:2 ~t1:3;
   R.record_eviction b ~owner:1;
-  let s = R.snapshot (R.sum [ a; b ]) in
+  let summed = R.create ~bins:5 ~horizon:10 () in
+  List.iter (fun r -> R.merge ~into:summed r) [ a; b ];
+  let s = R.snapshot summed in
   let o1 = R.Snapshot.owner s 1 in
   Alcotest.(check int) "summed clean" 4 o1.R.clean_time;
   Alcotest.(check int) "summed dirty" 6 o1.R.dirty_time;
@@ -282,7 +249,6 @@ let test_merge_and_sum () =
     (R.Snapshot.resident_time (R.Snapshot.owner s 2));
   Alcotest.(check (list int)) "owners ascending" [ 1; 2 ]
     (R.Snapshot.owners s);
-  expect_invalid "sum of nothing" (fun () -> ignore (R.sum []));
   expect_invalid "mismatched horizon" (fun () ->
       R.merge ~into:a (R.create ~bins:5 ~horizon:11 ()));
   expect_invalid "mismatched bins" (fun () ->
@@ -293,32 +259,12 @@ let test_merge_and_sum () =
 
 (* --- timed verification rows --- *)
 
-let test_timed_verify_strategies () =
+let test_timed_verify_rows_invariant () =
   let workloads = [ Core.Workloads.vm; Core.Workloads.mc ] in
-  let replay =
-    Core.Verify.run_all_timed ~jobs:1 ~strategy:Core.Verify.Replay ~workloads
-      ()
-  in
-  Alcotest.(check bool) "rows exist" true (replay <> []);
-  let fused =
-    Core.Verify.run_all_timed ~jobs:1 ~strategy:Core.Verify.Fused ~workloads ()
-  in
-  Alcotest.(check bool) "fused = replay" true (fused = replay);
-  List.iter
-    (fun jobs ->
-      let sharded =
-        Core.Verify.run_all_timed ~jobs ~strategy:Core.Verify.Sharded
-          ~workloads ()
-      in
-      Alcotest.(check bool)
-        (Printf.sprintf "sharded -j %d = replay" jobs)
-        true (sharded = replay))
-    [ 1; 2; 8 ];
-  let wide =
-    Core.Verify.run_all_timed ~jobs:2 ~strategy:Core.Verify.Sharded ~shards:16
-      ~workloads ()
-  in
-  Alcotest.(check bool) "16 shards on 2 domains = replay" true (wide = replay);
+  let serial = Core.Verify.run_all_timed ~jobs:1 ~workloads () in
+  Alcotest.(check bool) "rows exist" true (serial <> []);
+  Alcotest.(check bool) "-j 4 = -j 1" true
+    (Core.Verify.run_all_timed ~jobs:4 ~workloads () = serial);
   (* Each row's windows conserve its integrals. *)
   List.iter
     (fun (r : Core.Verify.time_row) ->
@@ -329,21 +275,11 @@ let test_timed_verify_strategies () =
       Alcotest.(check (float 1e-6)) "dirty window conserves dirty time"
         r.Core.Verify.dirty_time
         (sum r.Core.Verify.window_dirty))
-    replay;
+    serial;
   (* Deeper hierarchies keep the invariance. *)
-  let l2 =
-    Core.Verify.run_all_timed ~jobs:1 ~strategy:Core.Verify.Replay ~workloads
-      ~levels:2 ()
-  in
-  let l2_sharded =
-    Core.Verify.run_all_timed ~jobs:2 ~strategy:Core.Verify.Sharded ~workloads
-      ~levels:2 ()
-  in
-  Alcotest.(check bool) "levels:2 sharded -j2 = replay" true (l2_sharded = l2);
-  expect_invalid "retrace rejected" (fun () ->
-      ignore
-        (Core.Verify.run_all_timed ~jobs:1 ~strategy:Core.Verify.Retrace
-           ~workloads ()));
+  let l2 = Core.Verify.run_all_timed ~jobs:1 ~workloads ~levels:2 () in
+  Alcotest.(check bool) "levels:2 -j 4 = -j 1" true
+    (Core.Verify.run_all_timed ~jobs:4 ~workloads ~levels:2 () = l2);
   expect_invalid "bins 0 rejected" (fun () ->
       ignore (Core.Verify.run_all_timed ~jobs:1 ~workloads ~bins:0 ()))
 
@@ -359,11 +295,9 @@ let suite =
     QCheck_alcotest.to_alcotest prop_conservation;
     Alcotest.test_case "batch clock = per-event clock" `Quick
       test_batch_matches_per_event;
-    Alcotest.test_case "sharded replicas merge to serial" `Quick
-      test_sharded_merge_identity;
     Alcotest.test_case "stats unchanged by residency" `Quick
       test_stats_unchanged_by_residency;
     Alcotest.test_case "merge and sum" `Quick test_merge_and_sum;
     Alcotest.test_case "timed verify rows invariant" `Quick
-      test_timed_verify_strategies;
+      test_timed_verify_rows_invariant;
   ]

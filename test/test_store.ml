@@ -167,37 +167,58 @@ let test_meta_mismatch_evicted () =
 let test_format_bump_retires_v1_entries () =
   with_store (fun store ->
       let registry, tape = make_capture 64 () in
-      (* An entry left behind by a v1-era build: same logical key, but
-         filed under the name that build computed (the key hash embeds
-         the format version) and written in the v1 on-disk format. *)
-      let v1_name =
-        Printf.sprintf "%s-%016Lx.dvftape" key.Mt.Tape_store.workload
-          (Int64.of_int
-             (Mt.Tape_io.hash_string
-                (Printf.sprintf "v1|%s|%s|%d" key.Mt.Tape_store.workload
-                   key.Mt.Tape_store.size key.Mt.Tape_store.seed)))
+      (* Entries left behind by v1- and v2-era builds: same logical key,
+         but filed under the name that build computed (the key hash
+         embeds the format version) and declaring that version in the
+         header — a current-format file with its version word patched. *)
+      let old_entry version =
+        let name =
+          Printf.sprintf "%s-%016Lx.dvftape" key.Mt.Tape_store.workload
+            (Int64.of_int
+               (Mt.Tape_io.hash_string
+                  (Printf.sprintf "v%d|%s|%s|%d" version
+                     key.Mt.Tape_store.workload key.Mt.Tape_store.size
+                     key.Mt.Tape_store.seed)))
+        in
+        let path = Filename.concat (Mt.Tape_store.dir store) name in
+        Mt.Tape_io.save ~path
+          ~meta:
+            {
+              Mt.Tape_io.workload = key.Mt.Tape_store.workload;
+              size = key.Mt.Tape_store.size;
+              seed = key.Mt.Tape_store.seed;
+            }
+          ~registry ~tape;
+        let ic = open_in_bin path in
+        let b = Bytes.of_string (really_input_string ic (in_channel_length ic)) in
+        close_in ic;
+        (* The u32 format version sits right after the 8-byte magic. *)
+        Bytes.set_int32_le b 8 (Int32.of_int version);
+        let oc = open_out_bin path in
+        output_bytes oc b;
+        close_out oc;
+        (name, path)
       in
-      let v1_path = Filename.concat (Mt.Tape_store.dir store) v1_name in
-      Mt.Tape_io.save_v1 ~path:v1_path
-        ~meta:
-          {
-            Mt.Tape_io.workload = key.Mt.Tape_store.workload;
-            size = key.Mt.Tape_store.size;
-            seed = key.Mt.Tape_store.seed;
-          }
-        ~registry ~tape;
-      (* This build never probes the v1 name: a clean miss, and the old
-         file is left for gc rather than eagerly evicted. *)
-      Alcotest.(check bool) "v1 entry is not served" true
+      let old = List.map old_entry [ 1; 2 ] in
+      (* This build never probes the old names: a clean miss, and the old
+         files are left for gc rather than eagerly evicted. *)
+      Alcotest.(check bool) "old entries are not served" true
         (Mt.Tape_store.find store key = None);
-      Alcotest.(check bool) "v1 file awaits gc" true (Sys.file_exists v1_path);
-      (* list labels it stale — the file is readable (load still accepts
-         v1) but its declared version is not this build's. *)
-      (match Mt.Tape_store.list store with
-      | [ e ] ->
-          Alcotest.(check bool) "labelled Stale 1" true
-            (e.Mt.Tape_store.status = `Stale 1)
-      | es -> Alcotest.failf "expected one entry, got %d" (List.length es));
+      List.iter
+        (fun (name, path) ->
+          Alcotest.(check bool) (name ^ " awaits gc") true (Sys.file_exists path))
+        old;
+      (* list labels them stale by their declared version. *)
+      Alcotest.(check (list (pair string bool)))
+        "labelled Stale 1 and Stale 2"
+        (List.sort compare
+           [ (fst (List.nth old 0), true); (fst (List.nth old 1), true) ])
+        (List.sort compare
+           (List.map
+              (fun (e : Mt.Tape_store.entry) ->
+                ( e.Mt.Tape_store.file,
+                  List.mem e.Mt.Tape_store.status [ `Stale 1; `Stale 2 ] ))
+              (Mt.Tape_store.list store)));
       (* find_or_capture recaptures under the current name... *)
       let _, _, hit =
         Mt.Tape_store.find_or_capture store key ~capture:(make_capture 64)
@@ -205,9 +226,11 @@ let test_format_bump_retires_v1_entries () =
       Alcotest.(check bool) "recaptured" false hit;
       Alcotest.(check bool) "current-format entry on disk" true
         (Sys.file_exists (Mt.Tape_store.path store key));
-      (* ...and gc reaps the retired v1 file, keeping the fresh one. *)
+      (* ...and gc reaps the retired files, keeping the fresh one. *)
       let removed = Mt.Tape_store.gc store in
-      Alcotest.(check (list string)) "gc reaps the v1 entry" [ v1_name ] removed;
+      Alcotest.(check (list string)) "gc reaps the old entries"
+        (List.sort compare (List.map fst old))
+        (List.sort compare removed);
       Alcotest.(check bool) "fresh entry survives" true
         (Mt.Tape_store.find store key <> None))
 

@@ -300,157 +300,46 @@ let test_workload_bit_identity () =
         C.Config.verification_set)
     (Core.Workloads.all ())
 
-(* --- pre-partitioned shard views --- *)
+(* --- the engine against the retrace oracle --- *)
 
-let test_partition_views_bit_identity () =
-  (* Every workload, shards 1/2/8: replaying each shard's view — in
-     shard order into one shared replica set — must be bit-identical to
-     the fused full scan. *)
-  let caches () =
-    Array.of_list (List.map C.Cache.create C.Config.verification_set)
+let test_verify_engine_matches_retrace () =
+  (* Retrace: re-execute every kernel straight into each cache, no tape
+     at all — the independent oracle for capture + fused replay. *)
+  let oracle =
+    List.concat_map
+      (fun workload ->
+        let instance = Core.Workloads.verification_instance workload in
+        List.concat_map
+          (fun cache -> Core.Verify.verify_instance ~cache instance)
+          C.Config.verification_set)
+      (Core.Workloads.all ())
   in
   List.iter
-    (fun workload ->
-      let instance = Core.Workloads.verification_instance workload in
-      let name = instance.Core.Workload.workload in
-      let tape = capture_instance instance in
-      let fused = caches () in
-      Mt.Tape.replay_fused tape fused;
-      Array.iter C.Cache.flush fused;
-      List.iter
-        (fun shards ->
-          let views = Mt.Tape.partition tape (caches ()) ~shards in
-          Alcotest.(check int)
-            (Printf.sprintf "%s -j%d: one view per shard" name shards)
-            shards (Array.length views);
-          let replicas = caches () in
-          Array.iteri
-            (fun shard view ->
-              Alcotest.(check int) "view shard" shard (Mt.Tape.view_shard view);
-              Alcotest.(check int) "view shards" shards
-                (Mt.Tape.view_shards view);
-              Alcotest.(check int)
-                (Printf.sprintf
-                   "%s -j%d shard %d: walked + skipped covers the tape" name
-                   shards shard)
-                (Mt.Tape.chunk_count tape)
-                (Mt.Tape.view_chunks view + Mt.Tape.view_chunks_skipped view);
-              Mt.Tape.replay_view view replicas)
-            views;
-          Array.iter C.Cache.flush replicas;
-          Array.iteri
-            (fun i f ->
-              check_snapshots
-                (Printf.sprintf "%s: partitioned -j%d = fused (cache %d)" name
-                   shards i)
-                (snap f)
-                (snap replicas.(i)))
-            fused)
-        [ 1; 2; 8 ])
-    (Core.Workloads.all ())
-
-let test_partition_skips_disjoint_chunks () =
-  (* 8-byte lines make the granule line equal the cache line, so a chunk
-     touching only even granule lines provably holds nothing for the odd
-     shard of two — the index must skip it, and skipping must not change
-     a single statistic. *)
-  let cfg = C.Config.make ~name:"strided" ~associativity:2 ~sets:64 ~line:8 in
-  let chunk_events = 16 in
-  let tape = Mt.Tape.create ~chunk_events () in
-  for chunk = 0 to 3 do
-    for i = 0 to chunk_events - 1 do
-      let line = (2 * i) + (chunk land 1) in
-      Mt.Tape.append tape (Mt.Event.read ~owner:1 ~addr:(line * 8) ~size:4)
-    done
-  done;
-  Alcotest.(check int) "four chunks" 4 (Mt.Tape.chunk_count tape);
-  let caches () = [| C.Cache.create cfg |] in
-  let fused = caches () in
-  Mt.Tape.replay_fused tape fused;
-  Array.iter C.Cache.flush fused;
-  (* The on-the-fly sharded walk skips the foreign chunks... *)
-  let sharded = caches () in
-  let skipped = ref 0 in
-  for shard = 0 to 1 do
-    Mt.Tape.replay_fused_sharded ~skipped tape sharded ~shards:2 ~shard
-  done;
-  Array.iter C.Cache.flush sharded;
-  Alcotest.(check int) "each shard skips its two foreign chunks" 4 !skipped;
-  check_snapshots "sharded with skipping = fused" (snap fused.(0))
-    (snap sharded.(0));
-  (* ...and the pre-partitioned views exclude exactly the same chunks. *)
-  let views = Mt.Tape.partition tape (caches ()) ~shards:2 in
-  let replicas = caches () in
-  Array.iter
-    (fun view ->
-      Alcotest.(check int) "view walks its two chunks" 2
-        (Mt.Tape.view_chunks view);
-      Alcotest.(check int) "view skips the two foreign chunks" 2
-        (Mt.Tape.view_chunks_skipped view);
-      Alcotest.(check int) "view events" (2 * chunk_events)
-        (Mt.Tape.view_events view);
-      Mt.Tape.replay_view view replicas)
-    views;
-  Array.iter C.Cache.flush replicas;
-  check_snapshots "views = fused" (snap fused.(0)) (snap replicas.(0))
-
-let test_partition_validation () =
-  let cfg = C.Config.make ~name:"v8" ~associativity:2 ~sets:64 ~line:8 in
-  let tape = Mt.Tape.create ~chunk_events:16 () in
-  List.iter (Mt.Tape.append tape) (synthetic_events 64);
-  (match Mt.Tape.partition tape [| C.Cache.create cfg |] ~shards:3 with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "non-power-of-two shard count must be rejected");
-  (* A view replayed into replicas of a different geometry must refuse
-     rather than silently drop or duplicate lines. *)
-  let views = Mt.Tape.partition tape [| C.Cache.create cfg |] ~shards:2 in
-  match
-    Mt.Tape.replay_view views.(0)
-      [| C.Cache.create C.Config.small_verification |]
-  with
-  | exception Invalid_argument _ -> ()
-  | () -> Alcotest.fail "mismatched replica geometry must be rejected"
-
-(* --- Verify strategies agree --- *)
-
-let test_verify_strategies_identical () =
-  let workloads = [ Core.Workloads.vm; Core.Workloads.mc ] in
-  let run strategy = Core.Verify.run_all ~jobs:1 ~strategy ~workloads () in
-  let retrace = run Core.Verify.Retrace in
-  let replay = run Core.Verify.Replay in
-  let fused = run Core.Verify.Fused in
-  Alcotest.(check bool) "replay = retrace" true (replay = retrace);
-  Alcotest.(check bool) "fused = retrace" true (fused = retrace);
-  let parallel =
-    Core.Verify.run_all ~jobs:4 ~strategy:Core.Verify.Replay ~workloads ()
-  in
-  Alcotest.(check bool) "parallel replay = serial" true (parallel = replay);
-  (* The partitioned sharded engine, at widths below and above the
-     smallest verification cache's set count (the central clamp), still
-     reproduces the same rows. *)
-  List.iter
-    (fun shards ->
-      let sharded =
-        Core.Verify.run_all ~jobs:4 ~strategy:Core.Verify.Sharded ~shards
-          ~workloads ()
-      in
+    (fun jobs ->
       Alcotest.(check bool)
-        (Printf.sprintf "sharded (%d shards) = retrace" shards)
-        true (sharded = retrace))
-    [ 2; 8; 256 ]
+        (Printf.sprintf "engine -j %d = retrace" jobs)
+        true
+        (Core.Verify.run_all ~jobs () = oracle))
+    [ 1; 4 ]
 
 (* --- simulated cache sweep --- *)
 
 let test_sweep_simulate () =
   let instance = Core.Workloads.verification_instance Core.Workloads.vm in
-  let capacities = [ 8192; 65536 ] in
+  let capacities = [ 4096; 8192; 65536; 262144; 1048576 ] in
   let rows =
     Core.Experiments.cache_sweep ~jobs:1 ~capacities ~simulate:true instance
   in
-  let parallel =
-    Core.Experiments.cache_sweep ~jobs:4 ~capacities ~simulate:true instance
-  in
-  Alcotest.(check bool) "sweep -j4 = -j1" true (rows = parallel);
+  (* Geometry groups of every shape — 3 groups of 5 caches leave an
+     uneven split — must not change a single total. *)
+  List.iter
+    (fun jobs ->
+      Alcotest.(check bool)
+        (Printf.sprintf "sweep -j%d = -j1" jobs)
+        true
+        (Core.Experiments.cache_sweep ~jobs ~capacities ~simulate:true instance
+        = rows))
+    [ 2; 3 ];
   List.iter
     (fun (r : Core.Experiments.sweep_row) ->
       match r.Core.Experiments.sim_n_ha with
@@ -494,12 +383,7 @@ let suite =
     Alcotest.test_case "fused = sequential" `Quick test_fused_equals_sequential;
     Alcotest.test_case "capture/replay bit-identity (all workloads)" `Quick
       test_workload_bit_identity;
-    Alcotest.test_case "partitioned views bit-identity (all workloads)" `Quick
-      test_partition_views_bit_identity;
-    Alcotest.test_case "partition skips disjoint chunks" `Quick
-      test_partition_skips_disjoint_chunks;
-    Alcotest.test_case "partition validation" `Quick test_partition_validation;
-    Alcotest.test_case "verify strategies identical" `Quick
-      test_verify_strategies_identical;
+    Alcotest.test_case "verify engine = retrace oracle" `Quick
+      test_verify_engine_matches_retrace;
     Alcotest.test_case "simulated sweep" `Quick test_sweep_simulate;
   ]

@@ -2,11 +2,11 @@
 
    The contract is bit-identity across the disk boundary: save then load
    must reproduce the meta, the region registry and the event stream
-   exactly, and a loaded tape must replay — plain, fused and sharded —
-   to the same statistics as the in-memory original.  Anything that
-   violates the format (bad magic, foreign version, flipped payload
-   byte, truncation, trailing garbage) must surface as a structured
-   error, never as a silently wrong tape. *)
+   exactly, and a loaded tape must replay — plain and fused — to the
+   same statistics as the in-memory original.  Anything that violates
+   the format (bad magic, foreign version, flipped byte anywhere,
+   truncation, trailing garbage) must surface as a structured error,
+   never as an exception or a silently wrong tape. *)
 
 module C = Cachesim
 module Mt = Memtrace
@@ -75,10 +75,8 @@ let check_roundtrip n =
       Alcotest.(check int) "length" (Mt.Tape.length tape) (Mt.Tape.length tape');
       Alcotest.(check int) "chunks" (Mt.Tape.chunk_count tape)
         (Mt.Tape.chunk_count tape');
-      (* The partition index written to the chunk table and adopted on
-         load must equal the one capture built. *)
-      Alcotest.(check bool) "partition index" true
-        (Mt.Tape.chunk_infos tape = Mt.Tape.chunk_infos tape');
+      Alcotest.(check int) "chunk capacity" (Mt.Tape.chunk_events tape)
+        (Mt.Tape.chunk_events tape');
       Alcotest.(check bool) "events" true
         (List.for_all2 Mt.Event.equal (Mt.Tape.to_list tape)
            (Mt.Tape.to_list tape')))
@@ -109,26 +107,14 @@ let test_loaded_tape_replays_identically () =
       let original = caches () and fused = caches () in
       Mt.Tape.replay_fused tape original;
       Mt.Tape.replay_fused loaded fused;
-      (* Sharded walk of the loaded copy, shards replayed sequentially
-         into one cache array (bit-identical to fused by contract). *)
-      let sharded = caches () in
-      let shards = 4 in
-      for shard = 0 to shards - 1 do
-        Mt.Tape.replay_fused_sharded loaded sharded ~shards ~shard
-      done;
       Array.iter C.Cache.flush original;
       Array.iter C.Cache.flush fused;
-      Array.iter C.Cache.flush sharded;
       Array.iteri
         (fun i o ->
           Alcotest.(check bool)
             (Printf.sprintf "fused cache %d" i)
             true
-            (snap o = snap fused.(i));
-          Alcotest.(check bool)
-            (Printf.sprintf "sharded cache %d" i)
-            true
-            (snap o = snap sharded.(i)))
+            (snap o = snap fused.(i)))
         original)
 
 let test_read_meta () =
@@ -165,37 +151,7 @@ let expect_error name path check =
         (Printf.sprintf "%s (%s)" name (Mt.Tape_io.error_to_string e))
         true (check e)
 
-(* --- legacy v1 format and version probing --- *)
-
-let test_v1_roundtrip () =
-  with_tape_file (fun path ->
-      let registry = make_registry () in
-      let tape = make_tape 200 in
-      Mt.Tape_io.save_v1 ~path ~meta ~registry ~tape;
-      (match Mt.Tape_io.read_version path with
-      | Ok 1 -> ()
-      | Ok v -> Alcotest.failf "save_v1 wrote version %d" v
-      | Error e ->
-          Alcotest.failf "read_version: %s" (Mt.Tape_io.error_to_string e));
-      let meta', registry', tape' = load_exn path in
-      check_meta "v1 meta" meta meta';
-      Alcotest.(check bool) "v1 registry" true
-        (Mt.Region.export registry = Mt.Region.export registry');
-      Alcotest.(check bool) "v1 events" true
-        (List.for_all2 Mt.Event.equal (Mt.Tape.to_list tape)
-           (Mt.Tape.to_list tape'));
-      (* The streamed v1 load rebuilds the partition index from the
-         words, so it replays — and shards — exactly like the
-         original. *)
-      Alcotest.(check bool) "v1 partition index rebuilt" true
-        (Mt.Tape.chunk_infos tape = Mt.Tape.chunk_infos tape');
-      let cfg = C.Config.small_verification in
-      let a = C.Cache.create cfg and b = C.Cache.create cfg in
-      Mt.Tape.replay tape a;
-      Mt.Tape.replay tape' b;
-      C.Cache.flush a;
-      C.Cache.flush b;
-      Alcotest.(check bool) "v1 replay identical" true (snap a = snap b))
+(* --- version probing --- *)
 
 let test_read_version () =
   with_tape_file (fun path ->
@@ -254,20 +210,15 @@ let test_corrupt_payload () =
         | Mt.Tape_io.Corrupt _ -> true
         | _ -> false))
 
-let test_corrupt_chunk_table () =
+let test_corrupt_header () =
   with_tape_file (fun path ->
       save_good path;
       let b = Bytes.of_string (read_file path) in
-      (* The payload is exactly 16 bytes/event at the tail; 16 bytes
-         before it lands in the chunk-table region (the last entry's
-         line range or the index checksum, depending on alignment
-         padding).  Either way the index checksum must refuse the table
-         before any deferred chunk is adopted. *)
-      let total = Int64.to_int (Bytes.get_int64_le b 16) in
-      let pos = Bytes.length b - (16 * total) - 16 in
-      Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor 0x08));
+      (* Byte 40 lies in the provenance strings: a wrong workload label
+         parses fine, so only the header checksum can refuse it. *)
+      Bytes.set b 40 (Char.chr (Char.code (Bytes.get b 40) lxor 0x01));
       write_file path (Bytes.to_string b);
-      expect_error "corrupt chunk table" path (function
+      expect_error "corrupt header" path (function
         | Mt.Tape_io.Corrupt _ -> true
         | _ -> false))
 
@@ -284,9 +235,9 @@ let test_truncated_payload_tail () =
   with_tape_file (fun path ->
       save_good path;
       let whole = read_file path in
-      (* Drop only the final 8 bytes: header and chunk table stay
-         intact, so the exact-size check on the mapped payload is what
-         must catch it — no partial chunk may be adopted. *)
+      (* Drop only the final 8 bytes: the header stays intact, so the
+         exact-size check on the mapped payload is what must catch it —
+         no partial chunk may be adopted. *)
       write_file path (String.sub whole 0 (String.length whole - 8));
       expect_error "truncated payload" path (function
         | Mt.Tape_io.Corrupt _ -> true
@@ -367,6 +318,70 @@ let test_hash_string_stable () =
   Alcotest.(check int) "same input, same hash" (h "v1|VM|n=64|0")
     (h "v1|VM|n=64|0")
 
+(* --- fuzzing: any damage is an [Error] or changes nothing --- *)
+
+let fuzz_image =
+  let registry = make_registry () and tape = make_tape 200 in
+  let path = scratch () in
+  Mt.Tape_io.save ~path ~meta ~registry ~tape;
+  let image = read_file path in
+  Sys.remove path;
+  (image, Mt.Region.export registry, tape)
+
+(* Load [bytes] from a scratch file: the only acceptable outcomes are a
+   structured [Error] or a tape identical to the saved one. *)
+let load_is_error_or_identical bytes =
+  let _, export, tape = fuzz_image in
+  with_tape_file (fun path ->
+      write_file path bytes;
+      match Mt.Tape_io.load path with
+      | Error _ -> true
+      | Ok (meta', registry', tape') ->
+          meta' = meta
+          && Mt.Region.export registry' = export
+          && Mt.Tape.chunk_events tape' = Mt.Tape.chunk_events tape
+          && List.equal Mt.Event.equal (Mt.Tape.to_list tape')
+               (Mt.Tape.to_list tape))
+
+let payload_offset () =
+  let image, _, tape = fuzz_image in
+  String.length image - (16 * Mt.Tape.length tape)
+
+let test_truncation_at_every_header_byte () =
+  let image, _, _ = fuzz_image in
+  for len = 0 to payload_offset () + 16 do
+    if not (load_is_error_or_identical (String.sub image 0 len)) then
+      Alcotest.failf "truncation to %d bytes was adopted" len
+  done
+
+let gen_damage =
+  let image, _, _ = fuzz_image in
+  let n = String.length image in
+  QCheck.Gen.(
+    let flip =
+      (* Half the flips land in the header, where fields are dense. *)
+      list_size (int_range 1 3)
+        (pair
+           (oneof [ int_range 0 (payload_offset () - 1); int_range 0 (n - 1) ])
+           (int_range 1 255))
+      >|= fun flips ->
+      let b = Bytes.of_string image in
+      List.iter
+        (fun (pos, mask) ->
+          Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor mask)))
+        flips;
+      Bytes.to_string b
+    in
+    let truncate = int_range 0 (n - 1) >|= fun len -> String.sub image 0 len in
+    let append =
+      string_size ~gen:char (int_range 1 16) >|= fun tail -> image ^ tail
+    in
+    oneof [ flip; flip; truncate; append ])
+
+let prop_load_fuzz =
+  QCheck.Test.make ~count:500 ~name:"load: Error or identical tape"
+    (QCheck.make gen_damage) load_is_error_or_identical
+
 let suite =
   [
     Alcotest.test_case "roundtrip: empty tape" `Quick test_roundtrip_empty;
@@ -375,18 +390,16 @@ let suite =
       test_roundtrip_multi_chunk;
     Alcotest.test_case "roundtrip: exact chunk boundary" `Quick
       test_roundtrip_exact_chunks;
-    Alcotest.test_case "loaded tape replays identically (fused + sharded)"
-      `Quick test_loaded_tape_replays_identically;
+    Alcotest.test_case "loaded tape replays identically (fused)" `Quick
+      test_loaded_tape_replays_identically;
     Alcotest.test_case "read_meta" `Quick test_read_meta;
-    Alcotest.test_case "v1 roundtrip (legacy streamed load)" `Quick
-      test_v1_roundtrip;
     Alcotest.test_case "read_version probes without loading" `Quick
       test_read_version;
     Alcotest.test_case "missing file is Io_error" `Quick test_missing_file;
     Alcotest.test_case "bad magic" `Quick test_bad_magic;
     Alcotest.test_case "version mismatch" `Quick test_version_mismatch;
     Alcotest.test_case "corrupt payload" `Quick test_corrupt_payload;
-    Alcotest.test_case "corrupt chunk table" `Quick test_corrupt_chunk_table;
+    Alcotest.test_case "corrupt header" `Quick test_corrupt_header;
     Alcotest.test_case "truncated file" `Quick test_truncated;
     Alcotest.test_case "truncated payload tail" `Quick
       test_truncated_payload_tail;
@@ -397,4 +410,7 @@ let suite =
     Alcotest.test_case "fold_chunks equivalence" `Quick
       test_fold_chunks_equivalence;
     Alcotest.test_case "hash_string stable" `Quick test_hash_string_stable;
+    Alcotest.test_case "truncation at every header byte" `Quick
+      test_truncation_at_every_header_byte;
+    QCheck_alcotest.to_alcotest prop_load_fuzz;
   ]
