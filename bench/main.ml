@@ -192,8 +192,10 @@ let run_ablation () =
     let s = List.hd base.Access_patterns.App_spec.structures in
     match s.Access_patterns.App_spec.pattern with
     | Some (Access_patterns.Pattern.Templated tpl) ->
-        Access_patterns.Template.main_memory_accesses ~cache
-          { tpl with Access_patterns.Template.distance }
+        let open Access_patterns.Template in
+        main_memory_accesses ~cache
+          (make ~cache_ratio:tpl.cache_ratio ~distance ?writes:tpl.writes
+             ~elem_size:tpl.elem_size tpl.refs)
     | _ -> assert false
   in
   Printf.printf

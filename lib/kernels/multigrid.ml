@@ -294,44 +294,46 @@ let run_injected p ~structure ~flip_at ~pick ~flip =
   let finest = p.m * p.m * p.m in
   (result, Dvf_util.Maths.sum (Array.sub u 0 finest))
 
+(* One structure's reference stream as it grows: element indices, and
+   a store column ('\001' marks a store). *)
+type stream = { mutable idx : int array; stores : Buffer.t }
+
+let stream () = { idx = Array.make 4096 0; stores = Buffer.create 4096 }
+
+let record s i store =
+  let n = Buffer.length s.stores in
+  if n = Array.length s.idx then begin
+    let idx = Array.make (2 * n) 0 in
+    Array.blit s.idx 0 idx 0 n;
+    s.idx <- idx
+  end;
+  s.idx.(n) <- i;
+  Buffer.add_char s.stores (if store then '\001' else '\000')
+
+let contents s =
+  let n = Buffer.length s.stores in
+  (Array.sub s.idx 0 n, Array.init n (fun k -> Buffer.nth s.stores k <> '\000'))
+
 (* Reference-stream generator: execute the same V-cycle with phantom
    values, recording each structure's element indices in order.  This is
    the CGPMAC template input — derived from the pseudocode (the loop nest
    above), not from a memory trace. *)
 let reference_streams p =
-  (* Encode a store as (lnot idx) in the accumulating list, decoded into
-     the (refs, writes) pair the template model consumes. *)
-  let r_refs = ref [] and u_refs = ref [] and v_refs = ref [] in
-  let nr = ref 0 and nu = ref 0 and nv = ref 0 in
+  let r = stream () and u = stream () and v = stream () in
   let ops =
     (module struct
-      let get_r i = r_refs := i :: !r_refs; incr nr; 0.0
-      let set_r i _ = r_refs := lnot i :: !r_refs; incr nr
-      let get_u i = u_refs := i :: !u_refs; incr nu; 0.0
-      let set_u i _ = u_refs := lnot i :: !u_refs; incr nu
-      let get_v i = v_refs := i :: !v_refs; incr nv; 0.0
+      let get_r i = record r i false; 0.0
+      let set_r i _ = record r i true
+      let get_u i = record u i false; 0.0
+      let set_u i _ = record u i true
+      let get_v i = record v i false; 0.0
     end : Ops)
   in
   let flops _ = () in
   for _ = 1 to p.v_cycles do
     v_cycle ops p ~flops
   done;
-  let to_arrays n lst =
-    let refs = Array.make n 0 and writes = Array.make n false in
-    let rec fill i = function
-      | [] -> ()
-      | x :: rest ->
-          if x < 0 then begin
-            refs.(i) <- lnot x;
-            writes.(i) <- true
-          end
-          else refs.(i) <- x;
-          fill (i - 1) rest
-    in
-    fill (n - 1) lst;
-    (refs, writes)
-  in
-  (to_arrays !nr !r_refs, to_arrays !nu !u_refs, to_arrays !nv !v_refs)
+  (contents r, contents u, contents v)
 
 let spec p =
   let total_bytes = 8 * hierarchy_elements p in

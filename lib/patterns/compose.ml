@@ -56,11 +56,7 @@ let occurrence_blocks ~cache s occ =
   match occ.pattern with
   | Stream st ->
       min cap (int_of_float (ceil (Streaming.main_memory_accesses ~line st)))
-  | Tmpl tp ->
-      let trace, _ = Template.block_trace ~line tp in
-      let distinct = Hashtbl.create 64 in
-      Array.iter (fun b -> Hashtbl.replace distinct b ()) trace;
-      min cap (Hashtbl.length distinct)
+  | Tmpl tp -> min cap (Template.cold_misses (Template.profile ~line tp))
   | Reuse_only -> cap
 
 let footprint_blocks ~cache t name =

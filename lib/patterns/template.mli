@@ -11,15 +11,24 @@
       previous reference exceeds the maximum available cache capacity.
 
     "Distance" is the LRU stack distance (number of {e distinct} blocks
-    referenced in between), computed exactly with a Fenwick tree; with an
-    LRU cache of [B] available blocks, a re-reference misses iff its stack
-    distance is at least [B].  A [`Raw] distance variant (plain count of
-    intervening references, the literal reading of the paper's "distance")
-    is kept for the ablation bench. *)
+    referenced in between); with an LRU cache of [B] available blocks, a
+    re-reference misses iff its stack distance is at least [B].  A [`Raw]
+    distance variant (plain count of intervening references, the literal
+    reading of the paper's "distance") is kept for the ablation bench.
+
+    One pass over the block trace yields a {!profile} for {e every}
+    capacity at once (Mattson's stack algorithm): the cold-miss count, the
+    histogram of distances, and — Thompson & Smith's write-back extension
+    — the capacities at which each re-reference writes a dirty block back.
+    A template computes its profile once per line size and keeps it, so
+    every cache with that line size is answered from prefix sums. *)
 
 type distance_kind = [ `Stack | `Raw ]
 
-type t = {
+type memo
+(** The template's per-line-size profiles, filled on first use. *)
+
+type t = private {
   elem_size : int;       (** E, bytes *)
   refs : int array;      (** element indices in access order *)
   writes : bool array option;
@@ -29,7 +38,10 @@ type t = {
           the cache simulator's misses + writebacks. *)
   cache_ratio : float;   (** share of the cache available, (0,1] *)
   distance : distance_kind;
+  profiles : memo;
 }
+(** Private, so a [{ t with ... }] copy cannot carry another template's
+    profiles: build variants with {!make}. *)
 
 val make :
   ?cache_ratio:float -> ?distance:distance_kind -> ?writes:bool array ->
@@ -47,19 +59,48 @@ val block_trace : line:int -> t -> int array * bool array
 val available_blocks : cache:Cachesim.Config.t -> t -> int
 (** [floor (Cc * r / CL)], at least 1. *)
 
+type profile
+(** Misses and writebacks of one block trace under a fully associative
+    LRU cache of any capacity, for one distance kind. *)
+
+val profile : line:int -> t -> profile
+(** The template's profile at line size [line] under its own distance
+    kind.  Computed on the first call for a line size and shared by every
+    later one (the same value, physically); safe to call from several
+    domains at once — a domain that loses the race to publish adopts the
+    winner's identical profile.  Raises [Invalid_argument] when
+    [line <= 0]. *)
+
+val profile_of_blocks :
+  distance:distance_kind -> writes:bool array option -> int array -> profile
+(** The profile of an explicit block trace (not memoized).  Block ids may
+    be any integers; sparse ones are renumbered, never allocated by
+    value.  Raises [Invalid_argument] when [writes] and the trace differ
+    in length. *)
+
+val cold_misses : profile -> int
+(** First touches: the number of distinct blocks. *)
+
+val misses : profile -> capacity:int -> int
+(** Misses of a [capacity]-block cache: cold misses plus re-references at
+    distance [>= capacity]. *)
+
+val writebacks : profile -> capacity:int -> int
+(** Writebacks of a [capacity]-block cache: dirty blocks evicted, plus
+    dirty blocks still resident at the end (an end-of-run flush). *)
+
 val main_memory_accesses : cache:Cachesim.Config.t -> t -> float
-(** Misses plus writebacks for one execution of the template (dirty
-    blocks still resident at the end count as written back, matching an
-    end-of-run cache flush). *)
+(** Misses plus writebacks for one execution of the template at
+    {!available_blocks}, from {!profile} at the cache's line size. *)
 
 val misses_on_blocks : capacity:int -> distance:distance_kind -> int array -> int
 (** The bare two-step algorithm (read-only trace) on an explicit block
-    trace with a given block capacity; exposed for tests and for
-    {!Compose}. *)
+    trace with a given block capacity; exposed for tests. *)
 
 val accesses_on_blocks :
   capacity:int -> distance:distance_kind -> writes:bool array option ->
   int array -> int * int
-(** [(misses, writebacks)] on an explicit block trace. *)
+(** [(misses, writebacks)] on an explicit block trace, from
+    {!profile_of_blocks}. *)
 
 val pp : Format.formatter -> t -> unit

@@ -9,6 +9,10 @@ val create : int -> t
 (** All-zero tree of the given size.  Raises [Invalid_argument] if the size
     is negative. *)
 
+val reset_ones : t -> int -> unit
+(** [reset_ones t k] sets weight 1 at indices [0 .. k-1] and 0 elsewhere,
+    in O(size).  Raises [Invalid_argument] unless [0 <= k <= size t]. *)
+
 val size : t -> int
 
 val add : t -> int -> int -> unit

@@ -62,6 +62,28 @@ let prop_matches_naive =
       done;
       !ok)
 
+let test_reset_ones () =
+  (* Every (size, count) up to 17, after arbitrary earlier weights: the
+     prefix sums are those of k leading ones, and adds keep working. *)
+  for n = 0 to 17 do
+    for k = 0 to n do
+      let t = F.create n in
+      for i = 0 to n - 1 do F.add t i (i * 3) done;
+      F.reset_ones t k;
+      for i = 0 to n - 1 do
+        Alcotest.(check int) (Printf.sprintf "n=%d k=%d prefix %d" n k i)
+          (min (i + 1) k) (F.prefix_sum t i)
+      done;
+      if n > 0 then begin
+        F.add t (n - 1) 2;
+        Alcotest.(check int) "total after add" (k + 2) (F.total t)
+      end
+    done
+  done;
+  Alcotest.check_raises "count above size"
+    (Invalid_argument "Fenwick.reset_ones: count out of range") (fun () ->
+      F.reset_ones (F.create 3) 4)
+
 let suite =
   [
     Alcotest.test_case "empty" `Quick test_empty;
@@ -70,5 +92,6 @@ let suite =
     Alcotest.test_case "negative delta" `Quick test_negative_delta;
     Alcotest.test_case "bounds" `Quick test_bounds;
     Alcotest.test_case "prefix clamps" `Quick test_prefix_clamps;
+    Alcotest.test_case "reset ones" `Quick test_reset_ones;
     QCheck_alcotest.to_alcotest prop_matches_naive;
   ]

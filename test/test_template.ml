@@ -277,6 +277,144 @@ let prop_writebacks_match_reference =
       in
       got = expected)
 
+(* The same trace on the real simulator, fully associative: one set of
+   [capacity] ways, one block per line, through [access_batch], flushed
+   at the end. *)
+let simulate_fully_associative ~capacity trace writes =
+  let line = 8 in
+  let c =
+    Cachesim.Cache.create
+      (Cachesim.Config.make ~name:"fa" ~associativity:capacity ~sets:1 ~line)
+  in
+  let addrs = Array.map (fun b -> b * line) trace in
+  let metas =
+    Array.map (fun write -> Cachesim.Cache.pack_access ~owner:1 ~write ~size:1) writes
+  in
+  Cachesim.Cache.access_batch c ~addrs ~metas ~pos:0 ~len:(Array.length trace);
+  Cachesim.Cache.flush c;
+  let s = Cachesim.Stats.totals (Cachesim.Cache.stats c) in
+  (s.Cachesim.Stats.misses, s.Cachesim.Stats.writebacks)
+
+let distinct_blocks trace =
+  List.length (List.sort_uniq compare (Array.to_list trace))
+
+let gen_rw_trace ~blocks =
+  QCheck.(list_of_size (Gen.int_range 1 200) (pair (int_range 0 blocks) bool))
+
+(* Mattson inclusion: one stack-distance profile answers every capacity,
+   and each answer is what an LRU cache of that many blocks does — the
+   list reference and the simulator alike. *)
+let prop_profile_every_capacity =
+  QCheck.Test.make ~count:200 ~name:"one profile = LRU reference and simulator at every capacity"
+    (gen_rw_trace ~blocks:70)
+    (fun ops ->
+      let trace = Array.of_list (List.map fst ops) in
+      let writes = Array.of_list (List.map snd ops) in
+      let p = T.profile_of_blocks ~distance:`Stack ~writes:(Some writes) trace in
+      let distinct = distinct_blocks trace in
+      T.cold_misses p = distinct
+      && List.for_all
+           (fun capacity ->
+             let got = (T.misses p ~capacity, T.writebacks p ~capacity) in
+             got = reference_lru_with_writebacks ~capacity trace writes
+             && got = simulate_fully_associative ~capacity trace writes)
+           (List.init (distinct + 1) (fun i -> i + 1)))
+
+(* The paper-literal [`Raw] distance, simulated naively per capacity: a
+   re-reference misses iff more than [capacity - 1] references lie
+   between it and the block's previous one. *)
+let reference_raw ~capacity trace writes =
+  let nb = Array.fold_left max 0 trace + 1 in
+  let last = Array.make nb (-1) and dirty = Array.make nb false in
+  let misses = ref 0 and writebacks = ref 0 in
+  Array.iteri
+    (fun t b ->
+      let w = writes.(t) in
+      if last.(b) < 0 || t - last.(b) - 1 >= capacity then begin
+        incr misses;
+        if dirty.(b) then incr writebacks;
+        dirty.(b) <- w
+      end
+      else if w then dirty.(b) <- true;
+      last.(b) <- t)
+    trace;
+  Array.iter (fun d -> if d then incr writebacks) dirty;
+  (!misses, !writebacks)
+
+let prop_raw_profile_every_capacity =
+  QCheck.Test.make ~count:200 ~name:"raw profile = naive raw distance at every capacity"
+    (gen_rw_trace ~blocks:30)
+    (fun ops ->
+      let trace = Array.of_list (List.map fst ops) in
+      let writes = Array.of_list (List.map snd ops) in
+      let p = T.profile_of_blocks ~distance:`Raw ~writes:(Some writes) trace in
+      List.for_all
+        (fun capacity ->
+          (T.misses p ~capacity, T.writebacks p ~capacity)
+          = reference_raw ~capacity trace writes)
+        (List.init (Array.length trace + 1) (fun i -> i + 1)))
+
+(* Sparse ids far above the trace length are renumbered, not used as
+   array indices: the profile equals that of the dense relabelling, and
+   building it allocates in proportion to the trace alone. *)
+let test_sparse_block_ids () =
+  let dense = Array.init 2000 (fun i -> (i * 7) mod 97) in
+  let writes = Array.init 2000 (fun i -> i mod 3 = 0) in
+  let sparse = Array.map (fun b -> (b * (1 lsl 40)) + 5) dense in
+  List.iter
+    (fun distance ->
+      let before = Gc.allocated_bytes () in
+      let ps = T.profile_of_blocks ~distance ~writes:(Some writes) sparse in
+      let allocated = Gc.allocated_bytes () -. before in
+      Alcotest.(check bool)
+        (Printf.sprintf "allocated %.0f bytes" allocated)
+        true (allocated < 4e6);
+      let pd = T.profile_of_blocks ~distance ~writes:(Some writes) dense in
+      List.iter
+        (fun capacity ->
+          Alcotest.(check (pair int int))
+            (Printf.sprintf "capacity %d" capacity)
+            (T.misses pd ~capacity, T.writebacks pd ~capacity)
+            (T.misses ps ~capacity, T.writebacks ps ~capacity))
+        [ 1; 2; 10; 50; 96; 97; 98; 3000 ])
+    [ `Stack; `Raw ]
+
+(* The memo is per template value and domain-safe: evaluating one
+   template from four domains at once gives the serial answers, every
+   domain ends up holding the one published profile, and later calls
+   reuse it. *)
+let test_profile_memo () =
+  let refs = Array.init 5000 (fun i -> (i * 13) mod 1500) in
+  let writes = Array.init 5000 (fun i -> i mod 4 = 0) in
+  let fresh () = T.make ~writes ~elem_size:8 refs in
+  let caches = Cachesim.Config.profiling_set in
+  let serial =
+    List.map (fun cache -> T.main_memory_accesses ~cache (fresh ())) caches
+  in
+  let t = fresh () in
+  let parallel =
+    Dvf_util.Parallel.map ~jobs:4
+      (fun () -> List.map (fun cache -> T.main_memory_accesses ~cache t) caches)
+      (Array.make 4 ())
+  in
+  Array.iter (Alcotest.(check (list (float 0.0))) "parallel = serial" serial) parallel;
+  let line = 16 in
+  let shared =
+    Dvf_util.Parallel.map ~jobs:4 (fun () -> T.profile ~line t) (Array.make 4 ())
+  in
+  Array.iter
+    (fun p -> Alcotest.(check bool) "one published profile" true (p == T.profile ~line t))
+    shared;
+  let u = fresh () in
+  let cache = Cachesim.Config.small_verification in
+  ignore (T.main_memory_accesses ~cache u);
+  let p = T.profile ~line:cache.Cachesim.Config.line u in
+  ignore (T.main_memory_accesses ~cache u);
+  Alcotest.(check bool) "second evaluation reuses the profile" true
+    (p == T.profile ~line:cache.Cachesim.Config.line u);
+  Alcotest.(check bool) "another template has its own" false
+    (p == T.profile ~line:cache.Cachesim.Config.line (fresh ()))
+
 let suite =
   [
     Alcotest.test_case "first touch counts" `Quick test_first_touch_counts;
@@ -309,4 +447,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_miss_bounds;
     QCheck_alcotest.to_alcotest prop_stack_matches_fully_associative_lru;
     QCheck_alcotest.to_alcotest prop_writebacks_match_reference;
+    QCheck_alcotest.to_alcotest prop_profile_every_capacity;
+    QCheck_alcotest.to_alcotest prop_raw_profile_every_capacity;
+    Alcotest.test_case "sparse block ids" `Quick test_sparse_block_ids;
+    Alcotest.test_case "profile memo across domains" `Quick test_profile_memo;
   ]
