@@ -108,10 +108,9 @@ let test_experiments_sweeps_deterministic () =
    [CamlinternalLazy.Undefined], and an unguarded [ref], [Hashtbl] or
    [Array] is written by whichever domain gets there.  Scan every library
    source for a top-level binding whose body starts (on the binding's
-   line or the next non-blank one) with [lazy], [Lazy.from_fun], [ref],
-   [Hashtbl.create] or [Array.make]; return each hit as (file:line, the
-   binding's line). *)
-let top_level_state_bindings root =
+   line or the next non-blank one) with one of [words]; return each hit
+   as (file:line, the binding's line). *)
+let top_level_bindings_starting_with words root =
   let rec sources dir =
     List.concat_map
       (fun name ->
@@ -132,7 +131,7 @@ let top_level_state_bindings root =
               | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '\'' -> true
               | _ -> false))
     in
-    List.exists word [ "lazy"; "Lazy.from_fun"; "ref"; "Hashtbl.create"; "Array.make" ]
+    List.exists word words
   in
   let binding line =
     List.exists
@@ -177,9 +176,14 @@ let top_level_state_bindings root =
 let guarded_registries =
   [ ("../lib/core/workload.ml", "let table "); ("../lib/patterns/template_provider.ml", "let table ") ]
 
-let test_no_top_level_state () =
-  (* Tests run from _build/default/test; the library sources are
-     declared as a dependency in test/dune. *)
+(* Tests run from _build/default/test; the library sources are declared
+   as a dependency in test/dune. *)
+let test_no_top_level_lazy () =
+  Alcotest.(check (list string)) "top-level lazy in lib/" []
+    (List.map fst
+       (top_level_bindings_starting_with [ "lazy"; "Lazy.from_fun" ] "../lib"))
+
+let test_no_top_level_mutable_state () =
   let guarded (loc, line) =
     List.exists
       (fun (file, start) ->
@@ -187,17 +191,23 @@ let test_no_top_level_state () =
         && String.starts_with ~prefix:start line)
       guarded_registries
   in
-  let hits = top_level_state_bindings "../lib" in
+  let hits =
+    top_level_bindings_starting_with
+      [ "ref"; "Hashtbl.create"; "Array.make" ]
+      "../lib"
+  in
   Alcotest.(check int) "both registries found" 2
     (List.length (List.filter guarded hits));
-  Alcotest.(check (list string)) "top-level lazy or mutable state in lib/" []
+  Alcotest.(check (list string)) "top-level mutable state in lib/" []
     (List.filter_map (fun h -> if guarded h then None else Some (fst h)) hits)
 
 let suite =
   [
     Alcotest.test_case "empty input" `Quick test_empty_input;
-    Alcotest.test_case "no top-level lazy or mutable state in lib/" `Quick
-      test_no_top_level_state;
+    Alcotest.test_case "no top-level lazy in lib/" `Quick
+      test_no_top_level_lazy;
+    Alcotest.test_case "no top-level mutable state in lib/" `Quick
+      test_no_top_level_mutable_state;
     Alcotest.test_case "order preserved (jobs > items)" `Quick
       test_order_preserved_jobs_gt_items;
     Alcotest.test_case "order preserved (items > jobs)" `Quick
