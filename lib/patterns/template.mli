@@ -51,11 +51,6 @@ val make :
     element size, negative indices, a ratio outside (0,1], or a [writes]
     array whose length differs from [refs]. *)
 
-val block_trace : line:int -> t -> int array * bool array
-(** Element references lowered to cache-block ids with their store flags.
-    An element spanning several blocks contributes each of its blocks in
-    order. *)
-
 val available_blocks : cache:Cachesim.Config.t -> t -> int
 (** [floor (Cc * r / CL)], at least 1. *)
 
@@ -92,15 +87,5 @@ val writebacks : profile -> capacity:int -> int
 val main_memory_accesses : cache:Cachesim.Config.t -> t -> float
 (** Misses plus writebacks for one execution of the template at
     {!available_blocks}, from {!profile} at the cache's line size. *)
-
-val misses_on_blocks : capacity:int -> distance:distance_kind -> int array -> int
-(** The bare two-step algorithm (read-only trace) on an explicit block
-    trace with a given block capacity; exposed for tests. *)
-
-val accesses_on_blocks :
-  capacity:int -> distance:distance_kind -> writes:bool array option ->
-  int array -> int * int
-(** [(misses, writebacks)] on an explicit block trace, from
-    {!profile_of_blocks}. *)
 
 val pp : Format.formatter -> t -> unit

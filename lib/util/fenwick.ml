@@ -15,25 +15,23 @@ let reset_ones t k =
     t.tree.(i) <- max 0 (min i k - (i - (i land -i)))
   done
 
-(* The walks below stay inside [1 .. size], checked once on entry. *)
 let add t i delta =
-  let n = Array.length t.tree in
-  if i < 0 || i >= n - 1 then invalid_arg "Fenwick.add: index out of range";
+  if i < 0 || i >= size t then invalid_arg "Fenwick.add: index out of range";
   let i = ref (i + 1) in
+  let n = Array.length t.tree in
   while !i < n do
-    Array.unsafe_set t.tree !i (Array.unsafe_get t.tree !i + delta);
+    t.tree.(!i) <- t.tree.(!i) + delta;
     i := !i + (!i land - !i)
   done
 
 let prefix_sum t i =
-  let last = size t - 1 in
-  let i = if i > last then last else i in
+  let i = min i (size t - 1) in
   if i < 0 then 0
   else begin
     let acc = ref 0 in
     let i = ref (i + 1) in
     while !i > 0 do
-      acc := !acc + Array.unsafe_get t.tree !i;
+      acc := !acc + t.tree.(!i);
       i := !i - (!i land - !i)
     done;
     !acc

@@ -5,21 +5,37 @@ let small_cache = Cachesim.Config.small_verification (* 256 blocks of 32 B *)
 
 (* --- Template (block-trace algorithm) --- *)
 
+let misses_on ~capacity ~distance trace =
+  T.misses (T.profile_of_blocks ~distance ~writes:None trace) ~capacity
+
+let accesses_on ~capacity ~writes trace =
+  let p = T.profile_of_blocks ~distance:`Stack ~writes:(Some writes) trace in
+  (T.misses p ~capacity, T.writebacks p ~capacity)
+
+(* Two profiles agree at every capacity that can tell them apart. *)
+let same_profile ~n p q =
+  T.cold_misses p = T.cold_misses q
+  && List.for_all
+       (fun capacity ->
+         T.misses p ~capacity = T.misses q ~capacity
+         && T.writebacks p ~capacity = T.writebacks q ~capacity)
+       (List.init (n + 1) succ)
+
 let test_first_touch_counts () =
   (* All-distinct trace: every access is a compulsory miss. *)
-  let misses = T.misses_on_blocks ~capacity:4 ~distance:`Stack [| 1; 2; 3; 4; 5 |] in
+  let misses = misses_on ~capacity:4 ~distance:`Stack [| 1; 2; 3; 4; 5 |] in
   Alcotest.(check int) "compulsory" 5 misses
 
 let test_reuse_within_capacity_hits () =
   (* Re-touch within capacity: second round all hits with capacity 3. *)
-  let misses = T.misses_on_blocks ~capacity:3 ~distance:`Stack [| 1; 2; 3; 1; 2; 3 |] in
+  let misses = misses_on ~capacity:3 ~distance:`Stack [| 1; 2; 3; 1; 2; 3 |] in
   Alcotest.(check int) "3 cold only" 3 misses
 
 let test_reuse_beyond_capacity_misses () =
   (* Cyclic sweep over 4 blocks with capacity 3 thrashes: every access
      misses (the classic LRU worst case). *)
   let trace = Array.init 12 (fun i -> i mod 4) in
-  let misses = T.misses_on_blocks ~capacity:3 ~distance:`Stack trace in
+  let misses = misses_on ~capacity:3 ~distance:`Stack trace in
   Alcotest.(check int) "all miss" 12 misses
 
 let test_stack_distance_ignores_duplicates () =
@@ -27,24 +43,31 @@ let test_stack_distance_ignores_duplicates () =
      block intervenes, so with capacity 2 it hits under `Stack and misses
      under `Raw. *)
   let trace = [| 1; 2; 2; 2; 1 |] in
-  Alcotest.(check int) "stack" 2 (T.misses_on_blocks ~capacity:2 ~distance:`Stack trace);
-  Alcotest.(check int) "raw" 3 (T.misses_on_blocks ~capacity:2 ~distance:`Raw trace)
+  Alcotest.(check int) "stack" 2 (misses_on ~capacity:2 ~distance:`Stack trace);
+  Alcotest.(check int) "raw" 3 (misses_on ~capacity:2 ~distance:`Raw trace)
 
 let test_empty_trace () =
-  Alcotest.(check int) "empty" 0 (T.misses_on_blocks ~capacity:4 ~distance:`Stack [||])
+  Alcotest.(check int) "empty" 0 (misses_on ~capacity:4 ~distance:`Stack [||])
 
 let test_block_trace_lowering () =
   (* 16-byte elements over 32-byte lines: elements 0,1 share block 0;
-     element 2 is in block 1. *)
-  let t = T.make ~elem_size:16 [| 0; 1; 2 |] in
-  Alcotest.(check (array int)) "blocks" [| 0; 0; 1 |]
-    (fst (T.block_trace ~line:32 t));
+     element 2 is in block 1, so refs 0 2 1 lower to blocks 0 1 0. *)
+  let p = T.profile ~line:32 (T.make ~elem_size:16 [| 0; 2; 1 |]) in
+  Alcotest.(check bool) "blocks" true
+    (same_profile ~n:3 p
+       (T.profile_of_blocks ~distance:`Stack ~writes:None [| 0; 1; 0 |]));
+  Alcotest.(check int) "two blocks" 2 (T.cold_misses p);
+  Alcotest.(check int) "block 0 revisited past block 1" 3 (T.misses p ~capacity:1);
   (* 64-byte elements span two 32-byte lines each; write flags follow the
      element. *)
   let t2 = T.make ~writes:[| false; true |] ~elem_size:64 [| 0; 1 |] in
-  let blocks, writes = T.block_trace ~line:32 t2 in
-  Alcotest.(check (array int)) "spanning" [| 0; 1; 2; 3 |] blocks;
-  Alcotest.(check (array bool)) "write flags" [| false; false; true; true |] writes
+  let p2 = T.profile ~line:32 t2 in
+  Alcotest.(check bool) "spanning, with write flags" true
+    (same_profile ~n:4 p2
+       (T.profile_of_blocks ~distance:`Stack
+          ~writes:(Some [| false; false; true; true |]) [| 0; 1; 2; 3 |]));
+  Alcotest.(check int) "spanning" 4 (T.cold_misses p2);
+  Alcotest.(check int) "write flags" 2 (T.writebacks p2 ~capacity:1)
 
 let test_available_blocks_ratio () =
   let t = T.make ~cache_ratio:0.5 ~elem_size:8 [| 0 |] in
@@ -206,7 +229,7 @@ let prop_miss_bounds =
       let trace = Array.of_list refs in
       let distinct = Hashtbl.create 16 in
       Array.iter (fun b -> Hashtbl.replace distinct b ()) trace;
-      let m = T.misses_on_blocks ~capacity ~distance:`Stack trace in
+      let m = misses_on ~capacity ~distance:`Stack trace in
       m >= Hashtbl.length distinct && m <= Array.length trace)
 
 (* Property: the stack-distance model agrees exactly with a
@@ -231,7 +254,7 @@ let prop_stack_matches_fully_associative_lru =
                else kept)
           end)
         trace;
-      T.misses_on_blocks ~capacity ~distance:`Stack trace = !misses)
+      misses_on ~capacity ~distance:`Stack trace = !misses)
 
 (* Reference fully-associative LRU with dirty bits, for the writeback
    accounting. *)
@@ -272,8 +295,7 @@ let prop_writebacks_match_reference =
       let writes = Array.of_list (List.map snd ops) in
       let expected = reference_lru_with_writebacks ~capacity trace writes in
       let got =
-        T.accesses_on_blocks ~capacity ~distance:`Stack ~writes:(Some writes)
-          trace
+        accesses_on ~capacity ~writes trace
       in
       got = expected)
 
