@@ -122,8 +122,9 @@ let bins =
     & info [ "bins" ] ~docv:"N" ~doc)
 
 let check_bins bins =
-  if bins < 1 then begin
-    Printf.eprintf "error: --bins expects a positive integer (got %d)\n" bins;
+  if bins < 1 || bins > Cachesim.Residency.max_bins then begin
+    Printf.eprintf "error: --bins expects 1..%d (got %d)\n"
+      Cachesim.Residency.max_bins bins;
     exit 1
   end;
   bins

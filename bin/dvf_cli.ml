@@ -700,29 +700,26 @@ let query_cmd =
           match (Json.member "ok" resp, Json.member "result" resp) with
           | Some (Json.Bool true), Some result -> (
               try
+                let rows decl = Dvf_util.Row.rows_of_result decl result in
                 match op with
                 | "verify" ->
                     Dvf_util.Table.print
-                      (Core.Verify.to_table
-                         (Core.Serve.verify_rows_of_result result))
+                      (Core.Verify.to_table (rows Core.Verify.row))
                 | "levels" ->
                     Dvf_util.Table.print
-                      (Core.Verify.to_level_table
-                         (Core.Serve.level_rows_of_result result))
+                      (Core.Verify.to_level_table (rows Core.Verify.level_row))
                 | "timed" ->
                     Dvf_util.Table.print
-                      (Core.Verify.to_time_table
-                         (Core.Serve.timed_rows_of_result result))
+                      (Core.Verify.to_time_table (rows Core.Verify.time_row))
                 | "dvf" ->
                     Dvf_util.Table.print
-                      (Core.Profile.to_table
-                         (Core.Serve.profile_rows_of_result result))
+                      (Core.Profile.to_table (rows Core.Profile.row))
                 | "sweep" ->
                     Dvf_util.Table.print
                       (Core.Experiments.cache_sweep_table ~label
-                         (Core.Serve.sweep_rows_of_result result))
+                         (rows Core.Experiments.sweep_row))
                 | "chaos" ->
-                    let report = Core.Serve.chaos_report_of_result result in
+                    let report = Dvf_util.Row.of_json Core.Chaos.report result in
                     Dvf_util.Table.print (Core.Chaos.to_table report);
                     Format.printf "%a" Core.Chaos.pp_summary report
                 | _ -> print_endline (Json.to_string result)
@@ -911,7 +908,8 @@ let tape_cmd =
       | Ok ti ->
           if json then
             print_endline
-              (Json.to_string ~indent:false (Core.Serve.tape_info_to_json ti))
+              (Json.to_string ~indent:false
+                 (Dvf_util.Row.to_json Core.Serve.tape_info ti))
           else Dvf_util.Table.print (Core.Serve.tape_info_table ti)
     in
     Cmd.v

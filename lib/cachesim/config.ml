@@ -27,6 +27,16 @@ let make ~name ~associativity ~sets ~line =
          line);
   { name; associativity; sets; line }
 
+let row =
+  Dvf_util.Row.make "cache config"
+    Dvf_util.Row.[
+      field "name" Str (fun c -> c.name);
+      field "associativity" Int (fun c -> c.associativity);
+      field "sets" Int (fun c -> c.sets);
+      field "line" Int (fun c -> c.line);
+    ]
+    (fun name associativity sets line -> make ~name ~associativity ~sets ~line)
+
 let capacity t = t.associativity * t.sets * t.line
 let blocks t = t.associativity * t.sets
 

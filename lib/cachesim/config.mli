@@ -27,6 +27,10 @@ val make : name:string -> associativity:int -> sets:int -> line:int -> t
     uses 6-way).  The constraints are load-bearing: {!Cache.create}
     derives a mask from [sets] and a shift from [line]. *)
 
+val row : t Dvf_util.Row.t
+(** The wire declaration of {!t} (["cache config"]).  Decoding goes
+    through {!make}, so a bad geometry is a decode error. *)
+
 val is_power_of_two : int -> bool
 (** [true] iff the argument is a positive power of two. *)
 

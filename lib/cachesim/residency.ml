@@ -25,11 +25,13 @@ type t = {
 }
 
 let default_bins = 20
+let max_bins = 1 lsl 16
 
 let create ?(bins = default_bins) ~horizon () =
-  if bins <= 0 then
+  if bins <= 0 || bins > max_bins then
     invalid_arg
-      (Printf.sprintf "Residency.create: bins must be positive (got %d)" bins);
+      (Printf.sprintf "Residency.create: bins must be in 1..%d (got %d)"
+         max_bins bins);
   if horizon < 0 then
     invalid_arg
       (Printf.sprintf "Residency.create: negative horizon %d" horizon);

@@ -21,10 +21,15 @@ type t
 val default_bins : int
 (** 20. *)
 
+val max_bins : int
+(** 65536.  Every owner holds two [bins]-long histograms, so an
+    unbounded width from a request could ask for gigabytes. *)
+
 val create : ?bins:int -> horizon:int -> unit -> t
 (** [horizon] is the run length in events (intervals are clamped to
     [0, horizon]); [bins] (default {!default_bins}) the histogram width.
-    Raises [Invalid_argument] on [bins <= 0] or a negative horizon. *)
+    Raises [Invalid_argument], before allocating anything, unless
+    [1 <= bins <= max_bins], or on a negative horizon. *)
 
 val bins : t -> int
 val horizon : t -> int

@@ -1,4 +1,5 @@
 module Fi = Kernels.Fault_injection
+module Row = Dvf_util.Row
 
 type row = {
   endpoint : string;
@@ -9,6 +10,21 @@ type row = {
   ci : float * float;
   dvf : float;
 }
+
+let row =
+  Row.make "chaos row"
+    Row.[
+      field "endpoint" Str (fun r -> r.endpoint);
+      field "weight" Float (fun r -> r.weight);
+      field "trials" Int (fun r -> r.trials);
+      field "lost" Int (fun r -> r.lost);
+      field "availability" Float (fun r -> r.availability);
+      field "ci_lo" Float (fun r -> fst r.ci);
+      field "ci_hi" Float (fun r -> snd r.ci);
+      field "dvf" Float (fun r -> r.dvf);
+    ]
+    (fun endpoint weight trials lost availability lo hi dvf ->
+      { endpoint; weight; trials; lost; availability; ci = (lo, hi); dvf })
 
 type report = {
   workload : string;
@@ -21,6 +37,24 @@ type report = {
   requests_lost : float;
   rho : float option;
 }
+
+let report =
+  Row.make "chaos report"
+    Row.[
+      field "workload" Str (fun r -> r.workload);
+      field "label" Str (fun r -> r.label);
+      field "kill_fraction" Float (fun r -> r.kill_fraction);
+      field "killed_per_trial" Int (fun r -> r.killed_per_trial);
+      field "components" Int (fun r -> r.components);
+      field "seed" Int (fun r -> r.seed);
+      field "requests_lost" Float (fun r -> r.requests_lost);
+      field "rho" (Opt Float) (fun r -> r.rho);
+      field "rows" (Rows row) (fun r -> r.rows);
+    ]
+    (fun workload label kill_fraction killed_per_trial components seed
+         requests_lost rho rows ->
+      { workload; label; kill_fraction; killed_per_trial; components; seed;
+        rows; requests_lost; rho })
 
 let default_trials = 1000
 
@@ -158,18 +192,10 @@ let pp_summary ppf r =
   | None -> Format.fprintf ppf "Spearman rho (availability vs DVF): n/a@."
 
 let to_csv reports =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf
-    "workload,endpoint,weight,trials,lost,availability,ci_lo,ci_hi,dvf\n";
-  List.iter
-    (fun r ->
-      List.iter
-        (fun row ->
-          let lo, hi = row.ci in
-          Buffer.add_string buf
-            (Printf.sprintf "%s,%s,%.17g,%d,%d,%.17g,%.17g,%.17g,%.17g\n"
-               r.workload row.endpoint row.weight row.trials row.lost
-               row.availability lo hi row.dvf))
-        r.rows)
-    reports;
-  Buffer.contents buf
+  let line = Dvf_util.Table.csv_line in
+  String.concat ""
+    (line ("workload" :: Row.csv_header row)
+    :: List.concat_map
+         (fun r ->
+           List.map (fun x -> line (r.workload :: Row.csv_cells row x)) r.rows)
+         reports)

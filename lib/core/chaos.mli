@@ -24,6 +24,10 @@ type row = {
           (client included), from the profiling-scale spec *)
 }
 
+val row : row Dvf_util.Row.t
+(** The wire declaration of {!type-row} (["chaos row"]); the Wilson
+    interval travels as two fields. *)
+
 type report = {
   workload : string;
   label : string;            (** fault-model label, e.g. the kill arity *)
@@ -40,6 +44,10 @@ type report = {
           when undefined (fewer than two endpoints, or no rank
           variance) *)
 }
+
+val report : report Dvf_util.Row.t
+(** The wire declaration of {!type-report} (["chaos report"]), with its
+    rows nested. *)
 
 val default_trials : int
 (** 1000 — {!Fault_model.component_kill}'s default. *)
@@ -73,5 +81,5 @@ val pp_summary : Format.formatter -> report -> unit
 (** The mix-weighted loss rate and the availability-vs-DVF rho. *)
 
 val to_csv : report list -> string
-(** One row per (workload, endpoint); floats in [%.17g] so the CSV
-    round-trips exactly. *)
+(** One line per (workload, endpoint): the workload, then {!row}'s CSV
+    cells (floats in [%.17g], so the CSV round-trips exactly). *)

@@ -1,4 +1,5 @@
 module Table = Dvf_util.Table
+module Row = Dvf_util.Row
 
 type fig6_row = {
   n : int;
@@ -160,6 +161,18 @@ type sweep_row = {
   n_ha : float;
   sim_n_ha : float option;
 }
+
+let sweep_row =
+  Row.make "sweep row"
+    Row.[
+      field "capacity" Int (fun r -> r.capacity);
+      field "cache" (Row Cachesim.Config.row) (fun r -> r.sweep_cache);
+      field "dvf_a" Float (fun r -> r.dvf_a);
+      field "n_ha" Float (fun r -> r.n_ha);
+      field "sim_n_ha" (Opt Float) (fun r -> r.sim_n_ha);
+    ]
+    (fun capacity sweep_cache dvf_a n_ha sim_n_ha ->
+      { capacity; sweep_cache; dvf_a; n_ha; sim_n_ha })
 
 (* [xs] split into at most [n] contiguous, near-equal groups, in
    order. *)

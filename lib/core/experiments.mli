@@ -63,6 +63,9 @@ type sweep_row = {
   sim_n_ha : float option; (** trace-driven total, when [simulate] was set *)
 }
 
+val sweep_row : sweep_row Dvf_util.Row.t
+(** The wire declaration of {!type-sweep_row} (["sweep row"]). *)
+
 val cache_sweep :
   ?jobs:int -> ?telemetry:Dvf_util.Telemetry.t -> ?machine:Perf.machine ->
   ?fit:float -> ?line:int ->

@@ -1,4 +1,5 @@
 module Table = Dvf_util.Table
+module Row = Dvf_util.Row
 
 type row = {
   workload : string;
@@ -9,6 +10,20 @@ type row = {
   bytes : int;
   time : float;
 }
+
+let row =
+  Row.make "profile row"
+    Row.[
+      field "workload" Str (fun r -> r.workload);
+      field "cache" (Row Cachesim.Config.row) (fun r -> r.cache);
+      field "structure" Str (fun r -> r.structure);
+      field "dvf" Float (fun r -> r.dvf);
+      field "n_ha" Float (fun r -> r.n_ha);
+      field "bytes" Int (fun r -> r.bytes);
+      field "time" Float (fun r -> r.time);
+    ]
+    (fun workload cache structure dvf n_ha bytes time ->
+      { workload; cache; structure; dvf; n_ha; bytes; time })
 
 let profile_instance ?(machine = Perf.default_machine) ?(fit = Ecc.fit Ecc.No_ecc)
     ~cache (instance : Workload.instance) =

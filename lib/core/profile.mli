@@ -16,6 +16,9 @@ type row = {
   time : float;             (** modeled execution time, s *)
 }
 
+val row : row Dvf_util.Row.t
+(** The wire declaration of {!type-row} (["profile row"]). *)
+
 val profile_instance :
   ?machine:Perf.machine -> ?fit:float -> cache:Cachesim.Config.t ->
   Workload.instance -> row list

@@ -43,8 +43,8 @@
       ["seed"].  The result is one {!Chaos.report}: availability rows
       (with Wilson intervals and per-endpoint DVF), the mix-weighted
       loss rate and the availability-vs-DVF Spearman rho.  Decoded via
-      {!chaos_report_of_result}, it renders byte-identically to
-      [dvf chaos].
+      [Dvf_util.Row.of_json Chaos.report], it renders byte-identically
+      to [dvf chaos].
     - [stats] — request count, workload count, warm capture count, store
       directory.
 
@@ -93,49 +93,30 @@ val handle_batch : t -> string list -> string list
     preserving order: response [i] answers the [i]-th non-blank line.
     Results are identical to mapping {!handle_line} serially. *)
 
-(** {2 Row codecs}
+(** {2 Rows}
 
-    JSON encodings of the row types served in results.  Floats are
-    emitted as [%.17g] (exact round-trip), so decoding rows and
-    rendering them through [Verify.to_table] / [Verify.to_level_table] /
-    [Profile.to_table] / [Experiments.cache_sweep_table] reproduces the
-    one-shot CLI tables byte for byte — [dvf query]'s default output
-    mode, and what the end-to-end tests assert.  The [*_of_json] and
-    [*_of_result] decoders raise [Failure] on malformed input. *)
+    Each served row type declares its wire fields once, as a
+    {!Dvf_util.Row.t} next to the type ({!Verify.row}, {!Profile.row},
+    {!Chaos.report}, ...).  [Dvf_util.Row.rows_of_result Verify.row
+    result] decodes a [verify] result ([Dvf_util.Row.of_json
+    Chaos.report] a [chaos] one), raising only [Failure].  Floats travel
+    as [%.17g], so rendering decoded rows through the library's table
+    printers reproduces the one-shot CLI tables byte for byte —
+    [dvf query]'s default output, and what the end-to-end tests assert. *)
 
-val config_to_json : Cachesim.Config.t -> Dvf_util.Json.t
-val config_of_json : Dvf_util.Json.t -> Cachesim.Config.t
 val verify_row_to_json : Verify.row -> Dvf_util.Json.t
-val verify_row_of_json : Dvf_util.Json.t -> Verify.row
 val level_row_to_json : Verify.level_row -> Dvf_util.Json.t
-val level_row_of_json : Dvf_util.Json.t -> Verify.level_row
 val time_row_to_json : Verify.time_row -> Dvf_util.Json.t
-val time_row_of_json : Dvf_util.Json.t -> Verify.time_row
 val profile_row_to_json : Profile.row -> Dvf_util.Json.t
-val profile_row_of_json : Dvf_util.Json.t -> Profile.row
 val sweep_row_to_json : Experiments.sweep_row -> Dvf_util.Json.t
-val sweep_row_of_json : Dvf_util.Json.t -> Experiments.sweep_row
-val chaos_row_to_json : Chaos.row -> Dvf_util.Json.t
-val chaos_row_of_json : Dvf_util.Json.t -> Chaos.row
-val chaos_report_to_json : Chaos.report -> Dvf_util.Json.t
-
-val verify_rows_of_result : Dvf_util.Json.t -> Verify.row list
-(** Decode the ["rows"] of a [verify] response's [result]. *)
-
-val level_rows_of_result : Dvf_util.Json.t -> Verify.level_row list
-val timed_rows_of_result : Dvf_util.Json.t -> Verify.time_row list
-val profile_rows_of_result : Dvf_util.Json.t -> Profile.row list
-val sweep_rows_of_result : Dvf_util.Json.t -> Experiments.sweep_row list
-
-val chaos_report_of_result : Dvf_util.Json.t -> Chaos.report
-(** Decode a [chaos] response's [result] back into the report. *)
+(** [Dvf_util.Row.to_json] of each declaration, by name. *)
 
 (** {2 Tape file inspection}
 
     The payload behind [dvf tape info]: a .dvftape file's header and
-    provenance.  Shares the row-codec conventions — the JSON line
-    round-trips exactly and the rendered table is byte-stable, which CI
-    uses to pin the subcommand's output. *)
+    provenance.  The JSON line ({!tape_info}) round-trips exactly and
+    the rendered table is byte-stable, which CI uses to pin the
+    subcommand's output. *)
 
 type tape_info = {
   ti_version : int;  (** on-disk format version the file declares *)
@@ -152,6 +133,7 @@ val tape_info_of_file : string -> (tape_info, Memtrace.Tape_io.error) result
 (** Load (deferred chunks are never decoded) and summarize one tape
     file. *)
 
-val tape_info_to_json : tape_info -> Dvf_util.Json.t
-val tape_info_of_json : Dvf_util.Json.t -> tape_info
+val tape_info : tape_info Dvf_util.Row.t
+(** The wire declaration of {!type-tape_info} (["tape info"]). *)
+
 val tape_info_table : tape_info -> Dvf_util.Table.t

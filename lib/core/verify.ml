@@ -1,4 +1,5 @@
 module Table = Dvf_util.Table
+module Row = Dvf_util.Row
 
 type row = {
   workload : string;
@@ -7,6 +8,18 @@ type row = {
   simulated : float;
   modeled : float;
 }
+
+let row =
+  Row.make "verify row"
+    Row.[
+      field "workload" Str (fun r -> r.workload);
+      field "cache" (Row Cachesim.Config.row) (fun r -> r.cache);
+      field "structure" Str (fun r -> r.structure);
+      field "simulated" Float (fun r -> r.simulated);
+      field "modeled" Float (fun r -> r.modeled);
+    ]
+    (fun workload cache structure simulated modeled ->
+      { workload; cache; structure; simulated; modeled })
 
 let error row =
   Dvf_util.Maths.rel_error ~expected:row.simulated ~actual:row.modeled
@@ -259,6 +272,23 @@ type level_row = {
   l_writebacks : float;
 }
 
+let level_row =
+  Row.make "level row"
+    Row.[
+      field "workload" Str (fun r -> r.l_workload);
+      field "base_cache" (Row Cachesim.Config.row) (fun r -> r.base_cache);
+      field "level" Int (fun r -> r.level);
+      field "level_cache" (Row Cachesim.Config.row) (fun r -> r.level_cache);
+      field "structure" Str (fun r -> r.l_structure);
+      field "accesses" Float (fun r -> r.accesses);
+      field "misses" Float (fun r -> r.misses);
+      field "writebacks" Float (fun r -> r.l_writebacks);
+    ]
+    (fun l_workload base_cache level level_cache l_structure accesses misses
+         l_writebacks ->
+      { l_workload; base_cache; level; level_cache; l_structure; accesses;
+        misses; l_writebacks })
+
 let level_rows_of_stats ~registry (instance : Workload.instance) ~base ~configs
     stats_list =
   List.concat
@@ -384,6 +414,31 @@ type time_row = {
   window : float array;        (* clean+dirty residency per time bin *)
   window_dirty : float array;  (* dirty share of each bin *)
 }
+
+let time_row =
+  Row.make "time row"
+    Row.[
+      field "workload" Str (fun r -> r.t_workload);
+      field "base_cache" (Row Cachesim.Config.row) (fun r -> r.t_base);
+      field "level" Int (fun r -> r.t_level);
+      field "level_cache" (Row Cachesim.Config.row) (fun r -> r.t_cache);
+      field "structure" Str (fun r -> r.t_structure);
+      field "horizon" Int (fun r -> r.t_horizon);
+      field "bins" Int (fun r -> r.t_bins);
+      field "clean_time" Float (fun r -> r.clean_time);
+      field "dirty_time" Float (fun r -> r.dirty_time);
+      field "fills" Float (fun r -> r.t_fills);
+      field "evictions" Float (fun r -> r.t_evictions);
+      field "flushes" Float (fun r -> r.t_flushes);
+      field "window" Floats (fun r -> r.window);
+      field "window_dirty" Floats (fun r -> r.window_dirty);
+    ]
+    (fun t_workload t_base t_level t_cache t_structure t_horizon t_bins
+         clean_time dirty_time t_fills t_evictions t_flushes window
+         window_dirty ->
+      { t_workload; t_base; t_level; t_cache; t_structure; t_horizon; t_bins;
+        clean_time; dirty_time; t_fills; t_evictions; t_flushes; window;
+        window_dirty })
 
 (* Exposure in bit-events: every resident bit of the structure's lines,
    integrated over logical time.  This is the time-weighted analogue of

@@ -22,6 +22,9 @@ type row = {
   modeled : float;     (** CGPMAC estimate *)
 }
 
+val row : row Dvf_util.Row.t
+(** The wire declaration of {!type-row} (["verify row"]). *)
+
 val error : row -> float
 (** |modeled - simulated| / simulated. *)
 
@@ -126,6 +129,9 @@ type level_row = {
   l_writebacks : float;
 }
 
+val level_row : level_row Dvf_util.Row.t
+(** The wire declaration of {!type-level_row} (["level row"]). *)
+
 val capture_level_rows :
   ?telemetry:Dvf_util.Telemetry.t -> levels:int -> capture -> level_row list
 (** One capture's per-level rows over every verification base geometry,
@@ -178,6 +184,9 @@ type time_row = {
   window : float array;         (** clean+dirty residency per time bin *)
   window_dirty : float array;   (** dirty share of each bin *)
 }
+
+val time_row : time_row Dvf_util.Row.t
+(** The wire declaration of {!type-time_row} (["time row"]). *)
 
 val tw_dvf : time_row -> float
 (** Time-weighted DVF kernel: resident bits integrated over logical time

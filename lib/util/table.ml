@@ -85,15 +85,15 @@ let csv_field s =
     "\"" ^ String.concat "\"\"" (String.split_on_char '"' s) ^ "\""
   else s
 
+let csv_line cells = String.concat "," (List.map csv_field cells) ^ "\n"
+
 let to_csv t =
-  let buf = Buffer.create 512 in
-  let line cells =
-    Buffer.add_string buf (String.concat "," (List.map csv_field cells));
-    Buffer.add_char buf '\n'
-  in
-  line t.header;
-  List.iter (function Cells c -> line c | Separator -> ()) (rows_in_order t);
-  Buffer.contents buf
+  String.concat ""
+    (List.map csv_line
+       (t.header
+       :: List.filter_map
+            (function Cells c -> Some c | Separator -> None)
+            (rows_in_order t)))
 
 let cell_float ?(digits = 4) x =
   let a = abs_float x in

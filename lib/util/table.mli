@@ -27,6 +27,9 @@ val print : t -> unit
 val to_csv : t -> string
 (** Header + rows as RFC-4180-ish CSV (quotes fields containing commas). *)
 
+val csv_line : string list -> string
+(** One CSV record, newline-terminated, quoted as {!to_csv} quotes. *)
+
 val cell_float : ?digits:int -> float -> string
 (** Consistent float formatting for table cells ([digits] defaults to 4,
     engineering notation for very large/small magnitudes). *)

@@ -201,7 +201,8 @@ let test_serve_chaos_round_trip () =
   | Some (Json.Bool true) -> ()
   | _ -> Alcotest.fail ("chaos op failed: " ^ response));
   let decoded =
-    Core.Serve.chaos_report_of_result (Option.get (Json.member "result" resp))
+    Dvf_util.Row.of_json Core.Chaos.report
+      (Option.get (Json.member "result" resp))
   in
   let direct = report () in
   Alcotest.(check string) "tables byte-identical"
@@ -218,7 +219,21 @@ let test_csv_shape () =
     (List.length lines);
   Alcotest.(check string) "header"
     "workload,endpoint,weight,trials,lost,availability,ci_lo,ci_hi,dvf"
-    (List.hd lines)
+    (List.hd lines);
+  (* Every byte, against a hand-written printf of the same layout. *)
+  let expected =
+    String.concat ""
+      ((List.hd lines ^ "\n")
+      :: List.map
+           (fun (x : Core.Chaos.row) ->
+             let lo, hi = x.Core.Chaos.ci in
+             Printf.sprintf "%s,%s,%.17g,%d,%d,%.17g,%.17g,%.17g,%.17g\n"
+               r.Core.Chaos.workload x.Core.Chaos.endpoint x.Core.Chaos.weight
+               x.Core.Chaos.trials x.Core.Chaos.lost x.Core.Chaos.availability
+               lo hi x.Core.Chaos.dvf)
+           r.Core.Chaos.rows)
+  in
+  Alcotest.(check string) "bytes" expected csv
 
 let suite =
   [

@@ -43,6 +43,8 @@ let timed_cache ?bins ~horizon cfg =
 
 let test_validation () =
   expect_invalid "bins 0" (fun () -> R.create ~bins:0 ~horizon:10 ());
+  expect_invalid "bins above max_bins" (fun () ->
+      R.create ~bins:(R.max_bins + 1) ~horizon:10 ());
   expect_invalid "negative horizon" (fun () -> R.create ~horizon:(-1) ());
   let r = R.create ~bins:4 ~horizon:10 () in
   expect_invalid "t1 < t0" (fun () ->

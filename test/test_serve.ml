@@ -8,6 +8,7 @@
    verify` output. *)
 
 module J = Dvf_util.Json
+module Row = Dvf_util.Row
 
 let contains_substring haystack needle =
   let n = String.length needle and h = String.length haystack in
@@ -110,7 +111,7 @@ let test_verify_rows_bit_identical () =
       let result =
         expect_ok (respond srv {|{"id":1,"op":"verify","workload":"VM"}|})
       in
-      let served = Core.Serve.verify_rows_of_result result in
+      let served = Row.rows_of_result Core.Verify.row result in
       let direct =
         Core.Verify.run_all ~jobs:1 ~workloads:[ Core.Workloads.vm ] ()
       in
@@ -122,7 +123,7 @@ let test_levels_rows_bit_identical () =
         expect_ok
           (respond srv {|{"id":1,"op":"levels","workload":"VM","levels":2}|})
       in
-      let served = Core.Serve.level_rows_of_result result in
+      let served = Row.rows_of_result Core.Verify.level_row result in
       let direct =
         Core.Verify.run_all_levels ~jobs:1 ~levels:2
           ~workloads:[ Core.Workloads.vm ] ()
@@ -134,7 +135,7 @@ let test_dvf_rows_bit_identical () =
       let result =
         expect_ok (respond srv {|{"id":1,"op":"dvf","workload":"VM"}|})
       in
-      let served = Core.Serve.profile_rows_of_result result in
+      let served = Row.rows_of_result Core.Profile.row result in
       let direct =
         Core.Profile.run_all ~workloads:[ Core.Workloads.vm ] ()
       in
@@ -147,7 +148,7 @@ let test_sweep_rows_bit_identical () =
           (respond srv
              {|{"id":1,"op":"sweep","workload":"VM","capacities":[8192,65536]}|})
       in
-      let served = Core.Serve.sweep_rows_of_result result in
+      let served = Row.rows_of_result Core.Experiments.sweep_row result in
       (* The daemon sweeps its warm verification capture (see the mli),
          so the reference sweep must run over the same instance. *)
       let instance = Core.Workloads.verification_instance Core.Workloads.vm in
@@ -192,23 +193,212 @@ let test_batch_order_and_equivalence () =
 
 (* --- row codecs round-trip --- *)
 
+let roundtrip name decl rows =
+  List.iter
+    (fun row ->
+      Alcotest.(check bool) name true
+        (Row.of_json decl (Row.to_json decl row) = row))
+    rows
+
 let test_row_codecs_roundtrip () =
-  let rows = Core.Verify.run_all ~jobs:1 ~workloads:[ Core.Workloads.vm ] () in
-  List.iter
-    (fun row ->
-      let back =
-        Core.Serve.verify_row_of_json (Core.Serve.verify_row_to_json row)
+  let vm = [ Core.Workloads.vm ] in
+  roundtrip "cache config" Cachesim.Config.row
+    (Cachesim.Config.verification_set @ Cachesim.Config.profiling_set);
+  roundtrip "verify row" Core.Verify.row
+    (Core.Verify.run_all ~jobs:1 ~workloads:vm ());
+  roundtrip "profile row (exact floats)" Core.Profile.row
+    (Core.Profile.run_all ~workloads:vm ());
+  roundtrip "level row" Core.Verify.level_row
+    (Core.Verify.run_all_levels ~jobs:1 ~levels:2 ~workloads:vm ());
+  roundtrip "time row" Core.Verify.time_row
+    (Core.Verify.run_all_timed ~jobs:1 ~levels:2 ~bins:7 ~workloads:vm ());
+  let sweep =
+    {
+      Core.Experiments.capacity = 8192;
+      sweep_cache = Cachesim.Config.small_verification;
+      dvf_a = 0.1 +. 0.2;
+      n_ha = 1.0 /. 3.0;
+      sim_n_ha = Some 1e-300;
+    }
+  in
+  roundtrip "sweep row" Core.Experiments.sweep_row
+    [ sweep; { sweep with Core.Experiments.sim_n_ha = None } ];
+  let report =
+    match Core.Chaos.run ~trials:50 (Core.Service_workloads.workload ()) with
+    | Some r -> r
+    | None -> Alcotest.fail "service_graph workload has no topology"
+  in
+  Alcotest.(check bool) "chaos report has a rho" true
+    (report.Core.Chaos.rho <> None);
+  roundtrip "chaos report" Core.Chaos.report
+    [ report; { report with Core.Chaos.rho = None } ];
+  roundtrip "tape info" Core.Serve.tape_info
+    [
+      {
+        Core.Serve.ti_version = 3;
+        ti_workload = "VM";
+        ti_size = "n=\"64\", \\ tab\t";
+        ti_seed = -1;
+        ti_chunk_events = 65536;
+        ti_events = max_int;
+        ti_chunks = 0;
+        ti_regions = 2;
+      };
+    ]
+
+(* --- decoders raise only Failure, naming the row and the field --- *)
+
+let expect_failure ~what ~mentions decode =
+  match decode () with
+  | _ -> Alcotest.failf "%s: decoded" what
+  | exception Failure msg ->
+      List.iter
+        (fun needle ->
+          if not (contains_substring msg needle) then
+            Alcotest.failf "%s: %S does not mention %S" what msg needle)
+        mentions
+
+let test_decoder_contract () =
+  let row =
+    List.hd (Core.Verify.run_all ~jobs:1 ~workloads:[ Core.Workloads.vm ] ())
+  in
+  let with_member k v = function
+    | J.Obj kvs ->
+        J.Obj (List.map (fun (k', v') -> if k' = k then (k, v) else (k', v')) kvs)
+    | j -> j
+  in
+  let json = Row.to_json Core.Verify.row row in
+  let cache = Option.get (J.member "cache" json) in
+  let decode j () = Row.of_json Core.Verify.row j in
+  expect_failure ~what:"sets 3"
+    ~mentions:[ "verify row"; "cache"; "sets" ]
+    (decode (with_member "cache" (with_member "sets" (J.Int 3) cache) json));
+  expect_failure ~what:"non-object" ~mentions:[ "verify row" ]
+    (decode (J.List [ json ]));
+  expect_failure ~what:"missing field"
+    ~mentions:[ "verify row"; "modeled" ]
+    (decode
+       (match json with
+       | J.Obj kvs -> J.Obj (List.remove_assoc "modeled" kvs)
+       | j -> j));
+  expect_failure ~what:"mistyped field"
+    ~mentions:[ "verify row"; "structure" ]
+    (decode (with_member "structure" (J.Float 1.0) json));
+  expect_failure ~what:"rows not a list" ~mentions:[ "verify row"; "rows" ]
+    (fun () -> Row.rows_of_result Core.Verify.row (J.Obj [ ("rows", J.Null) ]))
+
+(* --- a timed request cannot ask for an unbounded histogram --- *)
+
+let test_timed_bins_bounded () =
+  with_server ~workloads:[ Core.Workloads.vm ] (fun srv ->
+      let msg =
+        expect_error
+          (respond srv
+             (Printf.sprintf
+                {|{"id":1,"op":"timed","workload":"VM","bins":%d}|}
+                (Cachesim.Residency.max_bins + 1)))
       in
-      Alcotest.(check bool) "verify row" true (row = back))
-    rows;
-  let profile = Core.Profile.run_all ~workloads:[ Core.Workloads.vm ] () in
-  List.iter
-    (fun row ->
-      let back =
-        Core.Serve.profile_row_of_json (Core.Serve.profile_row_to_json row)
+      Alcotest.(check bool) "names bins" true (contains_substring msg "bins"))
+
+(* --- fuzz: mutated requests and responses --- *)
+
+let fuzz_seeds =
+  [
+    {|{"id":1,"op":"ping"}|};
+    {|{"id":2,"op":"workloads"}|};
+    {|{"id":3,"op":"stats"}|};
+    {|{"id":4,"op":"verify","workload":"VM"}|};
+    {|{"id":5,"op":"levels","workload":"VM","levels":2}|};
+    {|{"id":6,"op":"timed","workload":"VM","levels":1,"bins":4}|};
+    {|{"id":7,"op":"dvf","workload":"VM"}|};
+    {|{"id":8,"op":"sweep","workload":"VM","capacities":[8192]}|};
+  ]
+
+(* No digits, so no mutation can inflate "trials", "bins" or a
+   capacity into a long-running request. *)
+let fuzz_alphabet =
+  List.init 26 (fun i -> Char.chr (Char.code 'a' + i))
+  @ [ 'V'; 'M'; ' '; '"'; '{'; '}'; '['; ']'; ','; ':'; '.'; '-'; '+';
+      '\\'; '\r'; '\000'; '\255' ]
+
+let replace s i c =
+  let b = Bytes.of_string s in
+  Bytes.set b (i mod Bytes.length b) c;
+  Bytes.to_string b
+
+(* One non-blank request line gets exactly one response line whose
+   "ok" is a boolean; a blank one gets none. *)
+let check_one_response srv line =
+  match Core.Serve.handle_line srv line with
+  | None -> String.trim line = ""
+  | Some resp -> (
+      (not (String.contains resp '\n'))
+      &&
+      match J.of_string resp with
+      | Ok j -> ( match J.member "ok" j with Some (J.Bool _) -> true | _ -> false)
+      | Error _ -> false)
+
+let decoders =
+  [
+    (fun r -> ignore (Row.rows_of_result Core.Verify.row r));
+    (fun r -> ignore (Row.rows_of_result Core.Verify.level_row r));
+    (fun r -> ignore (Row.rows_of_result Core.Verify.time_row r));
+    (fun r -> ignore (Row.rows_of_result Core.Profile.row r));
+    (fun r -> ignore (Row.rows_of_result Core.Experiments.sweep_row r));
+    (fun r -> ignore (Row.of_json Core.Chaos.report r));
+    (fun r -> ignore (Row.of_json Core.Serve.tape_info r));
+  ]
+
+(* Every decoder, on whatever [result] a (mutated) response line holds,
+   either decodes or raises [Failure]; any other exception escapes. *)
+let check_decoders response =
+  (match J.of_string response with
+  | Ok j -> (
+      match J.member "result" j with
+      | Some r ->
+          List.iter (fun d -> try d r with Failure _ -> ()) decoders
+      | None -> ())
+  | Error _ -> ());
+  true
+
+let test_fuzz () =
+  with_server ~workloads:[ Core.Workloads.vm ] (fun srv ->
+      let seeds =
+        Array.of_list
+          (List.map
+             (fun req ->
+               match Core.Serve.handle_line srv req with
+               | Some resp -> (req, resp)
+               | None -> Alcotest.failf "no response to %S" req)
+             fuzz_seeds)
       in
-      Alcotest.(check bool) "profile row (exact floats)" true (row = back))
-    profile
+      Array.iter
+        (fun (req, resp) ->
+          for n = 0 to String.length req do
+            if not (check_one_response srv (String.sub req 0 n)) then
+              Alcotest.failf "request %S cut at %d" req n
+          done;
+          for n = 0 to String.length resp do
+            ignore (check_decoders (String.sub resp 0 n))
+          done)
+        seeds;
+      let gen =
+        QCheck.Gen.(
+          triple
+            (int_bound (Array.length seeds - 1))
+            (int_bound 4095) (oneofl fuzz_alphabet))
+      in
+      let print (k, i, c) = Printf.sprintf "seed %d, byte %d := %C" k i c in
+      let check ~count ~name prop =
+        QCheck.Test.check_exn ~rand:(Random.State.make [| 15 |])
+          (QCheck.Test.make ~count ~name (QCheck.make ~print gen) prop)
+      in
+      (* Mutated requests may run whole ops; decoding is cheap enough to
+         try many more mutated responses. *)
+      check ~count:400 ~name:"serve: single-byte request mutations"
+        (fun (k, i, c) -> check_one_response srv (replace (fst seeds.(k)) i c));
+      check ~count:20_000 ~name:"decoders: single-byte response mutations"
+        (fun (k, i, c) -> check_decoders (replace (snd seeds.(k)) i c)))
 
 (* --- tape info (the dvf tape info payload) --- *)
 
@@ -244,12 +434,12 @@ let test_tape_info () =
         info.Core.Serve.ti_chunk_events;
       Alcotest.(check int) "seed" 3 info.Core.Serve.ti_seed;
       (* The codec round-trips exactly and the JSON line is stable. *)
-      let json = Core.Serve.tape_info_to_json info in
+      let json = Row.to_json Core.Serve.tape_info info in
       Alcotest.(check bool) "json round-trip" true
-        (Core.Serve.tape_info_of_json json = info);
+        (Row.of_json Core.Serve.tape_info json = info);
       Alcotest.(check string) "json encoding stable"
         (J.to_string ~indent:false json)
-        (J.to_string ~indent:false (Core.Serve.tape_info_to_json info));
+        (J.to_string ~indent:false (Row.to_json Core.Serve.tape_info info));
       (* The rendered table is byte-stable across loads of the file. *)
       let render i = Dvf_util.Table.render (Core.Serve.tape_info_table i) in
       match Core.Serve.tape_info_of_file path with
@@ -316,7 +506,9 @@ let test_end_to_end_binary () =
         Alcotest.(check bool) "daemon pong" true
           (field "pong" (expect_ok ping) = J.Bool true);
         let verify = parse_exn (input_line ic) in
-        let served = Core.Serve.verify_rows_of_result (expect_ok verify) in
+        let served =
+          Row.rows_of_result Core.Verify.row (expect_ok verify)
+        in
         let direct =
           Core.Verify.run_all ~jobs:1 ~workloads:[ Core.Workloads.vm ] ()
         in
@@ -345,6 +537,11 @@ let suite =
     Alcotest.test_case "batch order and equivalence" `Quick
       test_batch_order_and_equivalence;
     Alcotest.test_case "row codecs round-trip" `Quick test_row_codecs_roundtrip;
+    Alcotest.test_case "decoders raise only Failure" `Quick
+      test_decoder_contract;
+    Alcotest.test_case "timed bins bounded" `Quick test_timed_bins_bounded;
+    Alcotest.test_case "fuzz: mutated requests and responses" `Quick
+      test_fuzz;
     Alcotest.test_case "tape info" `Quick test_tape_info;
     Alcotest.test_case "Json.parse_line" `Quick test_json_parse_line;
     Alcotest.test_case "end-to-end: dvf serve over pipes" `Quick
