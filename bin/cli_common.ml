@@ -228,8 +228,9 @@ let campaign_term =
   let make jobs trials seed csv metrics =
     let jobs = check_jobs jobs in
     (match trials with
-    | Some t when t < 1 ->
-        Printf.eprintf "error: --trials expects a positive integer (got %d)\n" t;
+    | Some t when t < 1 || t > Core.Injection.max_trials ->
+        Printf.eprintf "error: --trials expects 1..%d (got %d)\n"
+          Core.Injection.max_trials t;
         exit 1
     | _ -> ());
     { c_jobs = jobs; c_trials = trials; c_seed = seed; c_csv = csv;

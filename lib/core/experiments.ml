@@ -229,6 +229,9 @@ let simulate_totals ~jobs ~telemetry ~caches cap =
           float_of_int (Cachesim.Stats.Snapshot.total_main_memory snapshot))
         snapshots)
 
+let max_sweep_points = 64
+let max_sweep_bytes = 256 * 1024 * 1024
+
 let cache_sweep ?jobs ?(telemetry = Telemetry.null)
     ?(machine = Perf.default_machine) ?(fit = Ecc.fit Ecc.No_ecc) ?(line = 64)
     ?(associativity = 8) ?capacities ?(simulate = false) ?store ?capture
@@ -242,6 +245,18 @@ let cache_sweep ?jobs ?(telemetry = Telemetry.null)
         in
         doubling [] 4096
   in
+  (* Each value is bounded before the sum, so the sum cannot overflow. *)
+  if
+    List.length capacities > max_sweep_points
+    || List.exists (fun c -> c > max_sweep_bytes) capacities
+    || List.fold_left (fun acc c -> acc + max c 0) 0 capacities
+       > max_sweep_bytes
+  then
+    invalid_arg
+      (Printf.sprintf
+         "Experiments.cache_sweep: capacities must be at most %d values \
+          summing to at most %d bytes"
+         max_sweep_points max_sweep_bytes);
   let caches =
     List.map
       (fun capacity ->

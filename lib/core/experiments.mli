@@ -66,6 +66,15 @@ type sweep_row = {
 val sweep_row : sweep_row Dvf_util.Row.t
 (** The wire declaration of {!type-sweep_row} (["sweep row"]). *)
 
+val max_sweep_points : int
+(** The most capacities one {!cache_sweep} takes: 64. *)
+
+val max_sweep_bytes : int
+(** The most bytes of cache one {!cache_sweep} simulates, summed over its
+    capacities: 256 MiB, above the default sweep's 32 MiB.  The
+    simulator holds every geometry of a sweep at once, at 32 bytes per
+    line. *)
+
 val cache_sweep :
   ?jobs:int -> ?telemetry:Dvf_util.Telemetry.t -> ?machine:Perf.machine ->
   ?fit:float -> ?line:int ->
@@ -98,7 +107,11 @@ val cache_sweep :
     entirely; see {!Verify.capture}.  [capture] supplies an already-made
     capture of {e this} [instance] instead (the [dvf serve] path, which
     holds every workload's capture in memory); it must belong to the
-    same instance, and when given, [store] is not consulted. *)
+    same instance, and when given, [store] is not consulted.
+
+    Raises [Invalid_argument], before any cache is configured, when
+    [capacities] has more than {!max_sweep_points} entries or sums to
+    more than {!max_sweep_bytes}. *)
 
 val cache_sweep_table : label:string -> sweep_row list -> Dvf_util.Table.t
 

@@ -12,6 +12,7 @@ type result = {
 }
 
 let default_seed = 1234
+let max_trials = 100_000
 
 (* THE campaign engine: fan the full (target, trial) grid of one fault
    model over the pool.  Each trial's RNG comes from [Fi.trial_rng], the
@@ -25,7 +26,9 @@ let default_seed = 1234
 let grid_raw ~telemetry ~section ~seed ~trials pool ~workload
     (fm : Fault_model.t) =
   let trials = Option.value trials ~default:fm.Fault_model.default_trials in
-  if trials < 1 then invalid_arg "Injection.run: trials < 1";
+  if trials < 1 || trials > max_trials then
+    invalid_arg
+      (Printf.sprintf "Injection.run: trials %d outside 1..%d" trials max_trials);
   let targets = Array.of_list fm.Fault_model.targets in
   let tasks =
     Array.init

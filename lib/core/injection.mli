@@ -25,6 +25,11 @@ type result = {
 val default_seed : int
 (** 1234. *)
 
+val max_trials : int
+(** The most trials per campaign target any run takes: 100,000.  Every
+    entry point raises [Invalid_argument] above it (or below 1) before
+    running a trial. *)
+
 val run :
   ?seed:int -> ?trials:int -> ?jobs:int ->
   ?telemetry:Dvf_util.Telemetry.t -> Workload.t -> result option

@@ -12,7 +12,7 @@ let template_refs (t : Ap.Template.t) =
   let n = Array.length t.Ap.Template.refs in
   let store =
     match t.Ap.Template.writes with
-    | Some w -> Array.copy w
+    | Some w -> Array.init n (fun i -> Bytes.get w i <> '\000')
     | None -> Array.make n false
   in
   { idx = Array.copy t.Ap.Template.refs; store }

@@ -202,13 +202,13 @@ let reference_stream p =
   for _ = 1 to p.repeats do
     transform ops ~n:p.n ~sign:(-1.0) ~flops:no_flops
   done;
-  let arr = Array.make !count 0 and writes = Array.make !count false in
+  let arr = Array.make !count 0 and writes = Bytes.make !count '\000' in
   let rec fill i = function
     | [] -> ()
     | x :: rest ->
         if x < 0 then begin
           arr.(i) <- lnot x;
-          writes.(i) <- true
+          Bytes.set writes i '\001'
         end
         else arr.(i) <- x;
         fill (i - 1) rest

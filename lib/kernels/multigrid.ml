@@ -312,7 +312,7 @@ let record s i store =
 
 let contents s =
   let n = Buffer.length s.stores in
-  (Array.sub s.idx 0 n, Array.init n (fun k -> Buffer.nth s.stores k <> '\000'))
+  (Array.sub s.idx 0 n, Buffer.to_bytes s.stores)
 
 (* Reference-stream generator: execute the same V-cycle with phantom
    values, recording each structure's element indices in order.  This is

@@ -56,7 +56,7 @@ let occurrence_blocks ~cache s occ =
   match occ.pattern with
   | Stream st ->
       min cap (int_of_float (ceil (Streaming.main_memory_accesses ~line st)))
-  | Tmpl tp -> min cap (Template.cold_misses (Template.profile ~line tp))
+  | Tmpl tp -> min cap (Template.distinct_blocks ~cache tp)
   | Reuse_only -> cap
 
 let footprint_blocks ~cache t name =

@@ -1,5 +1,5 @@
 type env = (string * int) list
-type t = env -> int array * bool array option
+type t = env -> int array * Bytes.t option
 
 (* Registrations happen at module-initialization time (single domain);
    the mutex guards against lookups from parallel sweeps racing a late

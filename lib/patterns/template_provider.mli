@@ -15,7 +15,7 @@
 type env = (string * int) list
 (** The integer-valued app parameters, name -> value. *)
 
-type t = env -> int array * bool array option
+type t = env -> int array * Bytes.t option
 (** [provider env] is [(refs, writes)]; may raise [Failure] on a missing
     or invalid parameter. *)
 

@@ -300,6 +300,61 @@ let test_timed_bins_bounded () =
       in
       Alcotest.(check bool) "names bins" true (contains_substring msg "bins"))
 
+(* --- sweep capacities and chaos trials are bounded before anything is
+   allocated: serve answers ok:false, the CLI exits 1 --- *)
+
+let cli_exit_code args =
+  let exe = "../bin/dvf_cli.exe" in
+  let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+  let pid =
+    Fun.protect
+      ~finally:(fun () -> Unix.close null)
+      (fun () ->
+        Unix.create_process exe (Array.of_list (exe :: args)) Unix.stdin null null)
+  in
+  match Unix.waitpid [] pid with
+  | _, Unix.WEXITED code -> code
+  | _ -> -1
+
+let test_admission_bounds () =
+  let too_large = Core.Experiments.max_sweep_bytes + 1 in
+  let too_many =
+    List.init (Core.Experiments.max_sweep_points + 1) (fun _ -> 4096)
+  in
+  let too_many_trials = Core.Injection.max_trials + 1 in
+  with_server ~workloads:[ Core.Workloads.vm ] (fun srv ->
+      let sweep caps =
+        Printf.sprintf
+          {|{"id":1,"op":"sweep","workload":"VM","simulate":false,"capacities":[%s]}|}
+          (String.concat "," (List.map string_of_int caps))
+      in
+      List.iter
+        (fun (what, request) ->
+          let msg = expect_error (respond srv request) in
+          let names = if what = "trials" then "trials" else "capacities" in
+          Alcotest.(check bool) (what ^ ": " ^ msg) true
+            (contains_substring msg names))
+        [
+          ("capacity", sweep [ too_large ]);
+          ("length", sweep too_many);
+          ("sum", sweep [ Core.Experiments.max_sweep_bytes; 4096 ]);
+          ( "trials",
+            Printf.sprintf {|{"id":1,"op":"chaos","trials":%d}|} too_many_trials );
+        ]);
+  if Sys.file_exists "../bin/dvf_cli.exe" then
+    List.iter
+      (fun args ->
+        Alcotest.(check int) (String.concat " " args) 1 (cli_exit_code args))
+      [
+        [ "query"; "--op"; "sweep"; "--no-simulate"; "--capacities";
+          string_of_int too_large; "VM" ];
+        [ "query"; "--op"; "sweep"; "--no-simulate"; "--capacities";
+          String.concat "," (List.map string_of_int too_many); "VM" ];
+        [ "query"; "--op"; "chaos"; "--trials"; string_of_int too_many_trials ];
+        [ "chaos"; "--trials"; string_of_int too_many_trials ];
+        [ "inject"; "--trials"; string_of_int too_many_trials ];
+      ]
+
 (* --- fuzz: mutated requests and responses --- *)
 
 let fuzz_seeds =
@@ -314,10 +369,11 @@ let fuzz_seeds =
     {|{"id":8,"op":"sweep","workload":"VM","capacities":[8192]}|};
   ]
 
-(* No digits, so no mutation can inflate "trials", "bins" or a
-   capacity into a long-running request. *)
+(* Digits may inflate "bins", "levels" or a capacity: every integer
+   parameter is bounded before it sizes an allocation or a loop. *)
 let fuzz_alphabet =
   List.init 26 (fun i -> Char.chr (Char.code 'a' + i))
+  @ List.init 10 (fun i -> Char.chr (Char.code '0' + i))
   @ [ 'V'; 'M'; ' '; '"'; '{'; '}'; '['; ']'; ','; ':'; '.'; '-'; '+';
       '\\'; '\r'; '\000'; '\255' ]
 
@@ -540,6 +596,8 @@ let suite =
     Alcotest.test_case "decoders raise only Failure" `Quick
       test_decoder_contract;
     Alcotest.test_case "timed bins bounded" `Quick test_timed_bins_bounded;
+    Alcotest.test_case "sweep capacities and chaos trials bounded" `Quick
+      test_admission_bounds;
     Alcotest.test_case "fuzz: mutated requests and responses" `Quick
       test_fuzz;
     Alcotest.test_case "tape info" `Quick test_tape_info;

@@ -5,21 +5,25 @@ let small_cache = Cachesim.Config.small_verification (* 256 blocks of 32 B *)
 
 (* --- Template (block-trace algorithm) --- *)
 
+(* One set of [capacity] ways: the model then has exactly [capacity]
+   blocks available. *)
+let fully_associative ?(line = 8) capacity =
+  Cachesim.Config.make ~name:"fa" ~associativity:capacity ~sets:1 ~line
+
+let flags writes =
+  Bytes.init (Array.length writes) (fun i -> if writes.(i) then '\001' else '\000')
+
+(* A block trace as a template: 8-byte elements on 8-byte lines, so each
+   element index is its block id. *)
+let block_template ?(distance = `Stack) ?writes trace =
+  T.make ~distance ?writes:(Option.map flags writes) ~elem_size:8 trace
+
+let accesses ~capacity t =
+  int_of_float (T.main_memory_accesses ~cache:(fully_associative capacity) t)
+
+(* Without stores there are no writebacks: the accesses are the misses. *)
 let misses_on ~capacity ~distance trace =
-  T.misses (T.profile_of_blocks ~distance ~writes:None trace) ~capacity
-
-let accesses_on ~capacity ~writes trace =
-  let p = T.profile_of_blocks ~distance:`Stack ~writes:(Some writes) trace in
-  (T.misses p ~capacity, T.writebacks p ~capacity)
-
-(* Two profiles agree at every capacity that can tell them apart. *)
-let same_profile ~n p q =
-  T.cold_misses p = T.cold_misses q
-  && List.for_all
-       (fun capacity ->
-         T.misses p ~capacity = T.misses q ~capacity
-         && T.writebacks p ~capacity = T.writebacks q ~capacity)
-       (List.init (n + 1) succ)
+  accesses ~capacity (block_template ~distance trace)
 
 let test_first_touch_counts () =
   (* All-distinct trace: every access is a compulsory miss. *)
@@ -52,22 +56,35 @@ let test_empty_trace () =
 let test_block_trace_lowering () =
   (* 16-byte elements over 32-byte lines: elements 0,1 share block 0;
      element 2 is in block 1, so refs 0 2 1 lower to blocks 0 1 0. *)
-  let p = T.profile ~line:32 (T.make ~elem_size:16 [| 0; 2; 1 |]) in
-  Alcotest.(check bool) "blocks" true
-    (same_profile ~n:3 p
-       (T.profile_of_blocks ~distance:`Stack ~writes:None [| 0; 1; 0 |]));
-  Alcotest.(check int) "two blocks" 2 (T.cold_misses p);
-  Alcotest.(check int) "block 0 revisited past block 1" 3 (T.misses p ~capacity:1);
+  let at_line_32 capacity t =
+    T.main_memory_accesses ~cache:(fully_associative ~line:32 capacity) t
+  in
+  let t = T.make ~elem_size:16 [| 0; 2; 1 |] in
+  let blocks = block_template [| 0; 1; 0 |] in
+  List.iter
+    (fun capacity ->
+      Alcotest.(check (float 0.0)) (Printf.sprintf "blocks, capacity %d" capacity)
+        (float_of_int (accesses ~capacity blocks)) (at_line_32 capacity t))
+    [ 1; 2; 3 ];
+  Alcotest.(check int) "two blocks" 2
+    (T.distinct_blocks ~cache:(fully_associative ~line:32 1) t);
+  Alcotest.(check (float 0.0)) "block 0 revisited past block 1" 3.0 (at_line_32 1 t);
   (* 64-byte elements span two 32-byte lines each; write flags follow the
      element. *)
-  let t2 = T.make ~writes:[| false; true |] ~elem_size:64 [| 0; 1 |] in
-  let p2 = T.profile ~line:32 t2 in
-  Alcotest.(check bool) "spanning, with write flags" true
-    (same_profile ~n:4 p2
-       (T.profile_of_blocks ~distance:`Stack
-          ~writes:(Some [| false; false; true; true |]) [| 0; 1; 2; 3 |]));
-  Alcotest.(check int) "spanning" 4 (T.cold_misses p2);
-  Alcotest.(check int) "write flags" 2 (T.writebacks p2 ~capacity:1)
+  let t2 = T.make ~writes:(flags [| false; true |]) ~elem_size:64 [| 0; 1 |] in
+  let blocks2 =
+    block_template ~writes:[| false; false; true; true |] [| 0; 1; 2; 3 |]
+  in
+  List.iter
+    (fun capacity ->
+      Alcotest.(check (float 0.0))
+        (Printf.sprintf "spanning, with write flags, capacity %d" capacity)
+        (float_of_int (accesses ~capacity blocks2)) (at_line_32 capacity t2))
+    [ 1; 2; 3; 4; 5 ];
+  Alcotest.(check int) "spanning" 4
+    (T.distinct_blocks ~cache:(fully_associative ~line:32 1) t2);
+  Alcotest.(check (float 0.0)) "write flags: 4 misses + 2 writebacks" 6.0
+    (at_line_32 1 t2)
 
 let test_available_blocks_ratio () =
   let t = T.make ~cache_ratio:0.5 ~elem_size:8 [| 0 |] in
@@ -293,11 +310,11 @@ let prop_writebacks_match_reference =
     (fun (capacity, ops) ->
       let trace = Array.of_list (List.map fst ops) in
       let writes = Array.of_list (List.map snd ops) in
-      let expected = reference_lru_with_writebacks ~capacity trace writes in
-      let got =
-        accesses_on ~capacity ~writes trace
-      in
-      got = expected)
+      (* Misses from the read-only template, misses + writebacks with
+         the stores. *)
+      let m, w = reference_lru_with_writebacks ~capacity trace writes in
+      misses_on ~capacity ~distance:`Stack trace = m
+      && accesses ~capacity (block_template ~writes trace) = m + w)
 
 (* The same trace on the real simulator, fully associative: one set of
    [capacity] ways, one block per line, through [access_batch], flushed
@@ -323,24 +340,26 @@ let distinct_blocks trace =
 let gen_rw_trace ~blocks =
   QCheck.(list_of_size (Gen.int_range 1 200) (pair (int_range 0 blocks) bool))
 
-(* Mattson inclusion: one stack-distance profile answers every capacity,
-   and each answer is what an LRU cache of that many blocks does — the
-   list reference and the simulator alike. *)
+(* At every capacity up to one past the distinct blocks, one template
+   (one memo) gives what an LRU cache of that many blocks does: the list
+   reference and the simulator alike. *)
 let prop_profile_every_capacity =
   QCheck.Test.make ~count:200 ~name:"one profile = LRU reference and simulator at every capacity"
     (gen_rw_trace ~blocks:70)
     (fun ops ->
       let trace = Array.of_list (List.map fst ops) in
       let writes = Array.of_list (List.map snd ops) in
-      let p = T.profile_of_blocks ~distance:`Stack ~writes:(Some writes) trace in
+      let t = block_template ~writes trace and r = block_template trace in
       let distinct = distinct_blocks trace in
-      T.cold_misses p = distinct
-      && List.for_all
-           (fun capacity ->
-             let got = (T.misses p ~capacity, T.writebacks p ~capacity) in
-             got = reference_lru_with_writebacks ~capacity trace writes
-             && got = simulate_fully_associative ~capacity trace writes)
-           (List.init (distinct + 1) (fun i -> i + 1)))
+      List.for_all
+        (fun capacity ->
+          let expected = reference_lru_with_writebacks ~capacity trace writes in
+          let m, w = expected in
+          T.distinct_blocks ~cache:(fully_associative capacity) t = distinct
+          && accesses ~capacity r = m
+          && accesses ~capacity t = m + w
+          && expected = simulate_fully_associative ~capacity trace writes)
+        (List.init (distinct + 1) (fun i -> i + 1)))
 
 (* The paper-literal [`Raw] distance, simulated naively per capacity: a
    re-reference misses iff more than [capacity - 1] references lie
@@ -369,73 +388,81 @@ let prop_raw_profile_every_capacity =
     (fun ops ->
       let trace = Array.of_list (List.map fst ops) in
       let writes = Array.of_list (List.map snd ops) in
-      let p = T.profile_of_blocks ~distance:`Raw ~writes:(Some writes) trace in
+      let t = block_template ~distance:`Raw ~writes trace in
+      let r = block_template ~distance:`Raw trace in
       List.for_all
         (fun capacity ->
-          (T.misses p ~capacity, T.writebacks p ~capacity)
-          = reference_raw ~capacity trace writes)
+          let m, w = reference_raw ~capacity trace writes in
+          accesses ~capacity r = m && accesses ~capacity t = m + w)
         (List.init (Array.length trace + 1) (fun i -> i + 1)))
 
 (* Sparse ids far above the trace length are renumbered, not used as
-   array indices: the profile equals that of the dense relabelling, and
-   building it allocates in proportion to the trace alone. *)
+   array indices: the answers equal those of the dense relabelling, and
+   computing them allocates in proportion to the trace alone. *)
 let test_sparse_block_ids () =
   let dense = Array.init 2000 (fun i -> (i * 7) mod 97) in
   let writes = Array.init 2000 (fun i -> i mod 3 = 0) in
   let sparse = Array.map (fun b -> (b * (1 lsl 40)) + 5) dense in
+  let capacities = [ 1; 2; 10; 50; 96; 97; 98; 3000 ] in
   List.iter
     (fun distance ->
+      let ts = block_template ~distance ~writes sparse in
+      let td = block_template ~distance ~writes dense in
       let before = Gc.allocated_bytes () in
-      let ps = T.profile_of_blocks ~distance ~writes:(Some writes) sparse in
+      let got = List.map (fun capacity -> accesses ~capacity ts) capacities in
       let allocated = Gc.allocated_bytes () -. before in
       Alcotest.(check bool)
         (Printf.sprintf "allocated %.0f bytes" allocated)
         true (allocated < 4e6);
-      let pd = T.profile_of_blocks ~distance ~writes:(Some writes) dense in
-      List.iter
-        (fun capacity ->
-          Alcotest.(check (pair int int))
-            (Printf.sprintf "capacity %d" capacity)
-            (T.misses pd ~capacity, T.writebacks pd ~capacity)
-            (T.misses ps ~capacity, T.writebacks ps ~capacity))
-        [ 1; 2; 10; 50; 96; 97; 98; 3000 ])
+      Alcotest.(check (list int)) "sparse = dense"
+        (List.map (fun capacity -> accesses ~capacity td) capacities)
+        got)
     [ `Stack; `Raw ]
 
+let allocation f =
+  let before = Gc.allocated_bytes () in
+  f ();
+  Gc.allocated_bytes () -. before
+
 (* The memo is per template value and domain-safe: evaluating one
-   template from four domains at once gives the serial answers, every
-   domain ends up holding the one published profile, and later calls
-   reuse it. *)
+   template from four domains at once gives the serial answers, and
+   later calls (and [distinct_blocks]) look the published results up
+   rather than run the pass again. *)
 let test_profile_memo () =
   let refs = Array.init 5000 (fun i -> (i * 13) mod 1500) in
   let writes = Array.init 5000 (fun i -> i mod 4 = 0) in
-  let fresh () = T.make ~writes ~elem_size:8 refs in
+  let fresh () = T.make ~writes:(flags writes) ~elem_size:8 refs in
   let caches = Cachesim.Config.profiling_set in
   let serial =
     List.map (fun cache -> T.main_memory_accesses ~cache (fresh ())) caches
   in
   let t = fresh () in
-  let parallel =
-    Dvf_util.Parallel.map ~jobs:4
-      (fun () -> List.map (fun cache -> T.main_memory_accesses ~cache t) caches)
-      (Array.make 4 ())
+  let evaluate t () =
+    List.map (fun cache -> T.main_memory_accesses ~cache t) caches
   in
+  let parallel = Dvf_util.Parallel.map ~jobs:4 (evaluate t) (Array.make 4 ()) in
   Array.iter (Alcotest.(check (list (float 0.0))) "parallel = serial" serial) parallel;
-  let line = 16 in
-  let shared =
-    Dvf_util.Parallel.map ~jobs:4 (fun () -> T.profile ~line t) (Array.make 4 ())
-  in
-  Array.iter
-    (fun p -> Alcotest.(check bool) "one published profile" true (p == T.profile ~line t))
-    shared;
-  let u = fresh () in
+  let published = allocation (fun () -> ignore (evaluate t ())) in
+  Alcotest.(check bool)
+    (Printf.sprintf "published results reused (%.0f bytes)" published)
+    true (published < 4096.);
   let cache = Cachesim.Config.small_verification in
-  ignore (T.main_memory_accesses ~cache u);
-  let p = T.profile ~line:cache.Cachesim.Config.line u in
-  ignore (T.main_memory_accesses ~cache u);
-  Alcotest.(check bool) "second evaluation reuses the profile" true
-    (p == T.profile ~line:cache.Cachesim.Config.line u);
-  Alcotest.(check bool) "another template has its own" false
-    (p == T.profile ~line:cache.Cachesim.Config.line (fresh ()))
+  let u = fresh () in
+  let first = allocation (fun () -> ignore (T.main_memory_accesses ~cache u)) in
+  let again = allocation (fun () -> ignore (T.main_memory_accesses ~cache u)) in
+  let distinct = allocation (fun () -> ignore (T.distinct_blocks ~cache u)) in
+  Alcotest.(check bool)
+    (Printf.sprintf "first pass allocates (%.0f bytes)" first)
+    true (first > 4096.);
+  Alcotest.(check bool)
+    (Printf.sprintf "second evaluation reuses the result (%.0f bytes)" again)
+    true (again < 1024.);
+  Alcotest.(check bool)
+    (Printf.sprintf "distinct_blocks reads the same entry (%.0f bytes)" distinct)
+    true (distinct < 1024.);
+  Alcotest.(check bool) "another template has its own" true
+    (allocation (fun () -> ignore (T.main_memory_accesses ~cache (fresh ())))
+    > 4096.)
 
 let suite =
   [
